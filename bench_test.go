@@ -21,6 +21,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/data"
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/filter"
 	"repro/internal/mediator"
 	"repro/internal/o2wrap"
@@ -53,7 +54,7 @@ func sourceCtx(w *datagen.Workload) *algebra.Context {
 
 func mustEval(b *testing.B, op algebra.Op, ctx *algebra.Context) int {
 	b.Helper()
-	res, err := op.Eval(ctx)
+	res, err := exec.Collect(op, ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestFig7PlansEquivalent(t *testing.T) {
 	var results []*Tab
 	for _, plan := range []algebra.Op{mono, split, join} {
 		p := &algebra.Project{From: plan, Cols: []string{"$t", "$o"}}
-		res, err := p.Eval(sourceCtx(w))
+		res, err := exec.Collect(p, sourceCtx(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -574,7 +575,7 @@ func leftRows(w *datagen.Workload, k int) *tab.Tab {
 func runCrossover(b *testing.B, plan algebra.Op, w *datagen.Workload) {
 	b.Helper()
 	ctx := sourceCtx(w)
-	res, err := plan.Eval(ctx)
+	res, err := exec.Collect(plan, ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -584,7 +585,7 @@ func runCrossover(b *testing.B, plan algebra.Op, w *datagen.Workload) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Eval(sourceCtx(w)); err != nil {
+		if _, err := exec.Collect(plan, sourceCtx(w)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/datagen"
 	"repro/internal/mediator"
 	"repro/internal/waiswrap"
@@ -100,9 +101,22 @@ func spawnWrapper(bin string, args ...string) (addr string, stop func(), err err
 	}
 }
 
+// oneShotClient is a wire client without its stream methods: the mediator
+// then receives every fetch and push as one whole response, as a
+// materializing mediator does.
+type oneShotClient struct {
+	oneShotSource
+}
+
+type oneShotSource interface {
+	algebra.ContextSource
+	algebra.BatchSource
+	algebra.RetryReporter
+}
+
 // connectWire dials a wrapper and registers it (interface and exported
-// structures) with the mediator.
-func connectWire(m *mediator.Mediator, addr string) (func(), error) {
+// structures) with the mediator — as a oneShotClient when oneShot is set.
+func connectWire(m *mediator.Mediator, addr string, oneShot bool) (func(), error) {
 	c, err := wire.DialWith(context.Background(), addr, wire.Options{})
 	if err != nil {
 		return nil, err
@@ -112,7 +126,11 @@ func connectWire(m *mediator.Mediator, addr string) (func(), error) {
 		c.Close()
 		return nil, err
 	}
-	if err := m.Connect(c, iface); err != nil {
+	var src algebra.Source = c
+	if oneShot {
+		src = oneShotClient{c}
+	}
+	if err := m.Connect(src, iface); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -128,12 +146,13 @@ func connectWire(m *mediator.Mediator, addr string) (func(), error) {
 }
 
 // externalDeploy spawns a wrapper pair serving the n-artifact workload as
-// child processes and connects a fresh mediator to them, mirroring
-// wireDeploy's view program and assumptions. Only the mediator lives in
-// this process.
-func externalDeploy(dir string, n int) (*mediator.Mediator, func(), error) {
+// child processes and connects two fresh mediators to them, mirroring
+// wireDeploy's view program and assumptions: m over the streaming wire
+// protocol, oneShot over oneShotClients. Only the mediators live in this
+// process.
+func externalDeploy(dir string, n int) (m, oneShot *mediator.Mediator, teardown func(), err error) {
 	var closers []func()
-	teardown := func() {
+	teardown = func() {
 		for i := len(closers) - 1; i >= 0; i-- {
 			closers[i]()
 		}
@@ -141,31 +160,34 @@ func externalDeploy(dir string, n int) (*mediator.Mediator, func(), error) {
 	o2Addr, stopO2, err := spawnWrapper(filepath.Join(dir, "o2-wrapper"),
 		"-port", "0", "-artifacts", strconv.Itoa(n))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	closers = append(closers, stopO2)
 	waisAddr, stopWais, err := spawnWrapper(filepath.Join(dir, "xmlwais-wrapper"),
 		"-port", "0", "-works", strconv.Itoa(n))
 	if err != nil {
 		teardown()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	closers = append(closers, stopWais)
-	m := mediator.New()
-	for _, addr := range []string{o2Addr, waisAddr} {
-		cl, err := connectWire(m, addr)
-		if err != nil {
-			teardown()
-			return nil, nil, err
+	var ms [2]*mediator.Mediator
+	for i := range ms {
+		ms[i] = mediator.New()
+		for _, addr := range []string{o2Addr, waisAddr} {
+			cl, err := connectWire(ms[i], addr, i == 1)
+			if err != nil {
+				teardown()
+				return nil, nil, nil, err
+			}
+			closers = append(closers, cl)
 		}
-		closers = append(closers, cl)
+		ms[i].RegisterFunc("contains", waiswrap.Contains)
+		if err := ms[i].LoadProgram(datagen.View1Src); err != nil {
+			teardown()
+			return nil, nil, nil, err
+		}
+		ms[i].Assume("artifacts", "works", "$y > 1800")
+		ms[i].Assume("persons", "works", "$y > 1800")
 	}
-	m.RegisterFunc("contains", waiswrap.Contains)
-	if err := m.LoadProgram(datagen.View1Src); err != nil {
-		teardown()
-		return nil, nil, err
-	}
-	m.Assume("artifacts", "works", "$y > 1800")
-	m.Assume("persons", "works", "$y > 1800")
-	return m, teardown, nil
+	return ms[0], ms[1], teardown, nil
 }

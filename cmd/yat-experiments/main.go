@@ -37,6 +37,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/data"
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/filter"
 	"repro/internal/mediator"
@@ -248,7 +249,7 @@ func figure7(sizes []int) error {
 			p := &algebra.Project{From: plan, Cols: []string{"$t", "$o"}}
 			ctx := sourceCtx(w)
 			start := time.Now()
-			res, err := p.Eval(ctx)
+			res, err := exec.Collect(p, ctx)
 			if err != nil {
 				return err
 			}
@@ -405,13 +406,13 @@ func e11() error {
 		}
 		ctx1, ctx2 := sourceCtx(w), sourceCtx(w)
 		t1 := time.Now()
-		r1, err := bind.Eval(ctx1)
+		r1, err := exec.Collect(bind, ctx1)
 		if err != nil {
 			return err
 		}
 		d1 := time.Since(t1)
 		t2 := time.Now()
-		r2, err := fetch.Eval(ctx2)
+		r2, err := exec.Collect(fetch, ctx2)
 		if err != nil {
 			return err
 		}
@@ -1144,9 +1145,10 @@ type memRecord struct {
 
 // memorySweep measures Q2 at each workload size on a fresh out-of-process
 // deployment (the wrapper binaries run as child processes, so the sampled
-// heap is the mediator's alone): the materialized engine first (its result
-// hashed, then dropped), the pipelined engine second, rows asserted
-// byte-identical via the hash.
+// heap is the mediator's alone): the materialized baseline first
+// (materializedRun over one-shot responses; its result hashed, then
+// dropped), the streamed query second, rows asserted byte-identical via the
+// hash.
 func memorySweep(sizes []int, wrappers string) ([]memRecord, error) {
 	dir, cleanup, err := ensureWrappers(wrappers)
 	if err != nil {
@@ -1155,11 +1157,11 @@ func memorySweep(sizes []int, wrappers string) ([]memRecord, error) {
 	defer cleanup()
 	var out []memRecord
 	for _, n := range sizes {
-		m, teardown, err := externalDeploy(dir, n)
+		m, oneShot, teardown, err := externalDeploy(dir, n)
 		if err != nil {
 			return nil, err
 		}
-		rec, err := memPoint(m, n)
+		rec, err := memPoint(m, oneShot, n)
 		teardown()
 		if err != nil {
 			return nil, err
@@ -1169,11 +1171,11 @@ func memorySweep(sizes []int, wrappers string) ([]memRecord, error) {
 	return out, nil
 }
 
-func memPoint(m *mediator.Mediator, n int) (*memRecord, error) {
+func memPoint(m, oneShot *mediator.Mediator, n int) (*memRecord, error) {
 	opts := mediator.ExecOptions{Parallelism: 1, Timeout: time.Minute}
 	sampler := startLiveSampler(10 * time.Millisecond)
 	base, d, err := med(func() (*mediator.Result, error) {
-		return m.ExecuteContext(context.Background(), datagen.Q2Src, opts)
+		return materializedRun(oneShot, datagen.Q2Src, opts)
 	})
 	matPeak := sampler.stopPeak()
 	if err != nil {
@@ -1202,6 +1204,80 @@ func memPoint(m *mediator.Mediator, n int) (*memRecord, error) {
 		StreamingNs:      run.total.Nanoseconds(),
 		FirstRowNs:       run.firstRow.Nanoseconds(),
 	}, nil
+}
+
+// materializedRun is the baseline the memory sweep compares streaming
+// against: bottom-up materialized evaluation, where every operator's inputs
+// are whole tables before the operator runs. It evaluates each input of the
+// optimized plan to a table (ExecutePlan), keeps it alive as a Literal in
+// the rebuilt plan, and runs the operator over those Literals; given a
+// mediator over oneShotClients, every source response arrives whole too.
+// Inner DJoin plans and pushed subplans stay as they are: they run per
+// binding, at the sources.
+func materializedRun(m *mediator.Mediator, src string, opts mediator.ExecOptions) (*mediator.Result, error) {
+	naive, err := m.Compose(src)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := materializeInputs(m, m.Optimize(naive), opts)
+	if err != nil {
+		return nil, err
+	}
+	return m.ExecutePlan(context.Background(), plan, opts)
+}
+
+// materializeInputs rebuilds op over Literals holding its inputs' results.
+func materializeInputs(m *mediator.Mediator, op algebra.Op, opts mediator.ExecOptions) (algebra.Op, error) {
+	var err error
+	whole := func(in algebra.Op) algebra.Op {
+		if err != nil {
+			return nil
+		}
+		var p algebra.Op
+		if p, err = materializeInputs(m, in, opts); err != nil {
+			return nil
+		}
+		var res *mediator.Result
+		if res, err = m.ExecutePlan(context.Background(), p, opts); err != nil {
+			return nil
+		}
+		return &algebra.Literal{T: res.Tab}
+	}
+	var out algebra.Op
+	switch x := op.(type) {
+	case *algebra.Doc, *algebra.Literal, *algebra.SourceQuery:
+		out = op
+	case *algebra.Bind:
+		out = op
+		if x.From != nil {
+			out = &algebra.Bind{From: whole(x.From), Doc: x.Doc, Col: x.Col, F: x.F}
+		}
+	case *algebra.Select:
+		out = &algebra.Select{From: whole(x.From), Pred: x.Pred}
+	case *algebra.Project:
+		out = &algebra.Project{From: whole(x.From), Cols: x.Cols}
+	case *algebra.MapExpr:
+		out = &algebra.MapExpr{From: whole(x.From), Col: x.Col, E: x.E}
+	case *algebra.Distinct:
+		out = &algebra.Distinct{From: whole(x.From)}
+	case *algebra.Group:
+		out = &algebra.Group{From: whole(x.From), Keys: x.Keys, Into: x.Into}
+	case *algebra.Sort:
+		out = &algebra.Sort{From: whole(x.From), Cols: x.Cols}
+	case *algebra.TreeOp:
+		out = &algebra.TreeOp{From: whole(x.From), C: x.C, OutCol: x.OutCol}
+	case *algebra.Join:
+		out = &algebra.Join{L: whole(x.L), R: whole(x.R), Pred: x.Pred}
+	case *algebra.Union:
+		out = &algebra.Union{L: whole(x.L), R: whole(x.R)}
+	case *algebra.Intersect:
+		out = &algebra.Intersect{L: whole(x.L), R: whole(x.R)}
+	case *algebra.DJoin:
+		out = &algebra.DJoin{L: whole(x.L), R: x.R}
+	default:
+		return nil, fmt.Errorf("materializeInputs: unknown operator %T", op)
+	}
+	return out, err
 }
 
 // runStreamSmoke is the -stream-smoke mode: one large-n Q2 against

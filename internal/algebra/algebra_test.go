@@ -1,11 +1,13 @@
-package algebra
+package algebra_test
 
 import (
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/algebra"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/filter"
 	"repro/internal/tab"
 )
@@ -36,15 +38,15 @@ func figure1Works() *data.Node {
 	)
 }
 
-func worksCtx() *Context {
-	ctx := NewContext()
+func worksCtx() *algebra.Context {
+	ctx := algebra.NewContext()
 	ctx.Catalog["artworks"] = data.Forest{figure1Works()}
 	return ctx
 }
 
-func mustEval(t *testing.T, op Op, ctx *Context) *tab.Tab {
+func mustEval(t *testing.T, op algebra.Op, ctx *algebra.Context) *tab.Tab {
 	t.Helper()
-	res, err := op.Eval(ctx)
+	res, err := exec.Collect(op, ctx)
 	if err != nil {
 		t.Fatalf("eval %s: %v", op.Detail(), err)
 	}
@@ -55,7 +57,7 @@ const fig4FilterSrc = `works[ *work[ artist: $a, title: $t, style: $s, size: $si
 
 func TestFigure4BindOperator(t *testing.T) {
 	ctx := worksCtx()
-	bind := &Bind{Doc: "artworks", F: filter.MustParse(fig4FilterSrc)}
+	bind := &algebra.Bind{Doc: "artworks", F: filter.MustParse(fig4FilterSrc)}
 	got := mustEval(t, bind, ctx)
 	if got.Len() != 3 {
 		t.Fatalf("rows = %d\n%s", got.Len(), got)
@@ -71,9 +73,9 @@ func TestFigure4BindOperator(t *testing.T) {
 func TestFigure4TreeOperator(t *testing.T) {
 	// Tree regroups works per artist: artists[ artist*($a)[ name, titles ] ]
 	ctx := worksCtx()
-	plan := &TreeOp{
-		From: &Bind{Doc: "artworks", F: filter.MustParse(fig4FilterSrc)},
-		C:    MustParseCons(`artists[ *($a) artist[ name: $a, *($t) title: $t ] ]`),
+	plan := &algebra.TreeOp{
+		From: &algebra.Bind{Doc: "artworks", F: filter.MustParse(fig4FilterSrc)},
+		C:    algebra.MustParseCons(`artists[ *($a) artist[ name: $a, *($t) title: $t ] ]`),
 	}
 	got := mustEval(t, plan, ctx)
 	if got.Len() != 1 {
@@ -98,10 +100,10 @@ func TestFigure4TreeOperator(t *testing.T) {
 
 func TestSelectProject(t *testing.T) {
 	ctx := worksCtx()
-	plan := &Project{
-		From: &Select{
-			From: &Bind{Doc: "artworks", F: filter.MustParse(fig4FilterSrc)},
-			Pred: MustParseExpr(`$a = "Claude Monet"`),
+	plan := &algebra.Project{
+		From: &algebra.Select{
+			From: &algebra.Bind{Doc: "artworks", F: filter.MustParse(fig4FilterSrc)},
+			Pred: algebra.MustParseExpr(`$a = "Claude Monet"`),
 		},
 		Cols: []string{"$t"},
 	}
@@ -116,8 +118,8 @@ func TestSelectComparisonsAndNullSemantics(t *testing.T) {
 	lit.Add(tab.AtomCell(data.Int(1750)))
 	lit.Add(tab.AtomCell(data.Int(1897)))
 	lit.Add(tab.Null())
-	plan := &Select{From: &Literal{lit}, Pred: MustParseExpr(`$y > 1800`)}
-	got := mustEval(t, plan, NewContext())
+	plan := &algebra.Select{From: &algebra.Literal{lit}, Pred: algebra.MustParseExpr(`$y > 1800`)}
+	got := mustEval(t, plan, algebra.NewContext())
 	if got.Len() != 1 {
 		t.Fatalf("rows = %d (null must compare false, not error)", got.Len())
 	}
@@ -135,20 +137,20 @@ func TestJoinHashAndNested(t *testing.T) {
 	r.Add(tab.AtomCell(data.String("monet")), tab.AtomCell(data.Int(11)))
 	r.Add(tab.AtomCell(data.String("renoir")), tab.AtomCell(data.Int(12)))
 
-	eq := &Join{L: &Literal{l}, R: &Literal{r}, Pred: MustParseExpr(`$a = $b`)}
-	got := mustEval(t, eq, NewContext())
+	eq := &algebra.Join{L: &algebra.Literal{l}, R: &algebra.Literal{r}, Pred: algebra.MustParseExpr(`$a = $b`)}
+	got := mustEval(t, eq, algebra.NewContext())
 	if got.Len() != 2 {
 		t.Fatalf("equi join rows = %d", got.Len())
 	}
 	// theta join falls back to nested loops
-	theta := &Join{L: &Literal{l}, R: &Literal{r}, Pred: MustParseExpr(`$x < $y`)}
-	got2 := mustEval(t, theta, NewContext())
+	theta := &algebra.Join{L: &algebra.Literal{l}, R: &algebra.Literal{r}, Pred: algebra.MustParseExpr(`$x < $y`)}
+	got2 := mustEval(t, theta, algebra.NewContext())
 	if got2.Len() != 6 {
 		t.Fatalf("theta join rows = %d", got2.Len())
 	}
 	// mixed: equality plus residual
-	mixed := &Join{L: &Literal{l}, R: &Literal{r}, Pred: MustParseExpr(`$a = $b AND $y > 10`)}
-	got3 := mustEval(t, mixed, NewContext())
+	mixed := &algebra.Join{L: &algebra.Literal{l}, R: &algebra.Literal{r}, Pred: algebra.MustParseExpr(`$a = $b AND $y > 10`)}
+	got3 := mustEval(t, mixed, algebra.NewContext())
 	if got3.Len() != 1 {
 		t.Fatalf("mixed join rows = %d", got3.Len())
 	}
@@ -158,9 +160,9 @@ func TestDJoinParameterPassing(t *testing.T) {
 	// Left: works bindings; right: a Bind over the $fields parameter,
 	// extracting cplace — the split form of Figure 7.
 	ctx := worksCtx()
-	plan := &DJoin{
-		L: &Bind{Doc: "artworks", F: filter.MustParse(`works[ *work@$w[ title: $t, *($fields) ] ]`)},
-		R: &Bind{Col: "$fields", F: filter.MustParse(`cplace: $cl`)},
+	plan := &algebra.DJoin{
+		L: &algebra.Bind{Doc: "artworks", F: filter.MustParse(`works[ *work@$w[ title: $t, *($fields) ] ]`)},
+		R: &algebra.Bind{Col: "$fields", F: filter.MustParse(`cplace: $cl`)},
 	}
 	got := mustEval(t, plan, ctx)
 	if got.Len() != 1 {
@@ -177,10 +179,10 @@ func TestDJoinEquivalentToJoinWhenIndependent(t *testing.T) {
 	l.Add(tab.AtomCell(data.Int(2)))
 	r := tab.New("$y")
 	r.Add(tab.AtomCell(data.Int(10)))
-	dj := &DJoin{L: &Literal{l}, R: &Literal{r}}
-	j := &Join{L: &Literal{l}, R: &Literal{r}, Pred: TrueExpr()}
-	a := mustEval(t, dj, NewContext())
-	b := mustEval(t, j, NewContext())
+	dj := &algebra.DJoin{L: &algebra.Literal{l}, R: &algebra.Literal{r}}
+	j := &algebra.Join{L: &algebra.Literal{l}, R: &algebra.Literal{r}, Pred: algebra.TrueExpr()}
+	a := mustEval(t, dj, algebra.NewContext())
+	b := mustEval(t, j, algebra.NewContext())
 	if !a.EqualUnordered(b) {
 		t.Errorf("DJoin over independent right must equal cross join:\n%s\nvs\n%s", a, b)
 	}
@@ -193,51 +195,51 @@ func TestUnionIntersectDistinct(t *testing.T) {
 	b := tab.New("$x")
 	b.Add(tab.AtomCell(data.Int(2)))
 	b.Add(tab.AtomCell(data.Int(3)))
-	u := mustEval(t, &Union{&Literal{a}, &Literal{b}}, NewContext())
+	u := mustEval(t, &algebra.Union{&algebra.Literal{a}, &algebra.Literal{b}}, algebra.NewContext())
 	if u.Len() != 4 {
 		t.Errorf("union rows = %d", u.Len())
 	}
-	i := mustEval(t, &Intersect{&Literal{a}, &Literal{b}}, NewContext())
+	i := mustEval(t, &algebra.Intersect{&algebra.Literal{a}, &algebra.Literal{b}}, algebra.NewContext())
 	if i.Len() != 1 {
 		t.Errorf("intersect rows = %d", i.Len())
 	}
-	d := mustEval(t, &Distinct{&Union{&Literal{a}, &Literal{b}}}, NewContext())
+	d := mustEval(t, &algebra.Distinct{&algebra.Union{&algebra.Literal{a}, &algebra.Literal{b}}}, algebra.NewContext())
 	if d.Len() != 3 {
 		t.Errorf("distinct rows = %d", d.Len())
 	}
 	// incompatible arities error
 	c := tab.New("$x", "$y")
-	if _, err := (&Union{&Literal{a}, &Literal{c}}).Eval(NewContext()); err == nil {
+	if _, err := exec.Collect(&algebra.Union{&algebra.Literal{a}, &algebra.Literal{c}}, algebra.NewContext()); err == nil {
 		t.Error("union of incompatible tabs must fail")
 	}
-	if _, err := (&Intersect{&Literal{a}, &Literal{c}}).Eval(NewContext()); err == nil {
+	if _, err := exec.Collect(&algebra.Intersect{&algebra.Literal{a}, &algebra.Literal{c}}, algebra.NewContext()); err == nil {
 		t.Error("intersect of incompatible tabs must fail")
 	}
 }
 
 func TestGroupSortMap(t *testing.T) {
 	ctx := worksCtx()
-	bind := &Bind{Doc: "artworks", F: filter.MustParse(fig4FilterSrc)}
-	g := mustEval(t, &Group{From: bind, Keys: []string{"$a"}, Into: "$works"}, ctx)
+	bind := &algebra.Bind{Doc: "artworks", F: filter.MustParse(fig4FilterSrc)}
+	g := mustEval(t, &algebra.Group{From: bind, Keys: []string{"$a"}, Into: "$works"}, ctx)
 	if g.Len() != 2 {
 		t.Errorf("groups = %d", g.Len())
 	}
-	s := mustEval(t, &Sort{From: bind, Cols: []string{"$t"}}, ctx)
+	s := mustEval(t, &algebra.Sort{From: bind, Cols: []string{"$t"}}, ctx)
 	first, _ := s.Rows[0][s.ColIndex("$t")].AsAtom()
 	if first.S != "Dancers" {
 		t.Errorf("sort first = %v", first)
 	}
-	m := mustEval(t, &MapExpr{
-		From: &Literal{tab.New("$p").Add(tab.AtomCell(data.Int(100)))},
-		Col:  "$tax", E: MustParseExpr(`$p * 2`),
-	}, NewContext())
+	m := mustEval(t, &algebra.MapExpr{
+		From: &algebra.Literal{tab.New("$p").Add(tab.AtomCell(data.Int(100)))},
+		Col:  "$tax", E: algebra.MustParseExpr(`$p * 2`),
+	}, algebra.NewContext())
 	if a, _ := m.Rows[0][1].AsAtom(); a.I != 200 {
 		t.Errorf("map value = %v", m.Rows[0][1])
 	}
 }
 
 func TestSkolemIdentityAndFusion(t *testing.T) {
-	reg := NewSkolems()
+	reg := algebra.NewSkolems()
 	id1 := reg.ID("artwork", []tab.Cell{tab.AtomCell(data.String("Nympheas"))})
 	id2 := reg.ID("artwork", []tab.Cell{tab.AtomCell(data.String("Nympheas"))})
 	id3 := reg.ID("artwork", []tab.Cell{tab.AtomCell(data.String("Dancers"))})
@@ -256,10 +258,10 @@ func TestTreeSkolemAndReferences(t *testing.T) {
 	rows := tab.New("$t", "$o")
 	rows.Add(tab.AtomCell(data.String("Nympheas")), tab.AtomCell(data.String("Doctor X")))
 	rows.Add(tab.AtomCell(data.String("Nympheas")), tab.AtomCell(data.String("Mme Y")))
-	ctx := NewContext()
-	plan := &TreeOp{
-		From: &Literal{rows},
-		C: MustParseCons(`doc[ *artwork($t) := work[ title: $t, owners[ *owner: &person($o) ] ],
+	ctx := algebra.NewContext()
+	plan := &algebra.TreeOp{
+		From: &algebra.Literal{rows},
+		C: algebra.MustParseCons(`doc[ *artwork($t) := work[ title: $t, owners[ *owner: &person($o) ] ],
 		                       *person($o) := person[ name: $o ] ]`),
 	}
 	got := mustEval(t, plan, ctx)
@@ -289,7 +291,7 @@ func TestTreeRootPerRow(t *testing.T) {
 	rows.Add(tab.AtomCell(data.String("A")))
 	rows.Add(tab.AtomCell(data.String("B")))
 	rows.Add(tab.AtomCell(data.String("A")))
-	got := mustEval(t, &TreeOp{From: &Literal{rows}, C: MustParseCons(`title: $t`)}, NewContext())
+	got := mustEval(t, &algebra.TreeOp{From: &algebra.Literal{rows}, C: algebra.MustParseCons(`title: $t`)}, algebra.NewContext())
 	if got.Len() != 2 {
 		t.Fatalf("rows = %d (distinct grouping)", got.Len())
 	}
@@ -302,8 +304,8 @@ func TestTreeSpliceSeq(t *testing.T) {
 	rows := tab.New("$t", "$fields")
 	rows.Add(tab.AtomCell(data.String("W")),
 		tab.SeqCell(data.Forest{data.Text("cplace", "Giverny"), data.Text("note", "x")}))
-	got := mustEval(t, &TreeOp{From: &Literal{rows},
-		C: MustParseCons(`work[ title: $t, more: $fields ]`)}, NewContext())
+	got := mustEval(t, &algebra.TreeOp{From: &algebra.Literal{rows},
+		C: algebra.MustParseCons(`work[ title: $t, more: $fields ]`)}, algebra.NewContext())
 	more := got.Rows[0][0].Tree.Child("more")
 	if len(more.Kids) != 2 || more.Kids[0].Label != "cplace" {
 		t.Errorf("more = %s", more)
@@ -313,7 +315,7 @@ func TestTreeSpliceSeq(t *testing.T) {
 func TestTreeLabelVariable(t *testing.T) {
 	rows := tab.New("$l", "$v")
 	rows.Add(tab.AtomCell(data.String("cplace")), tab.AtomCell(data.String("Giverny")))
-	got := mustEval(t, &TreeOp{From: &Literal{rows}, C: MustParseCons(`~$l: $v`)}, NewContext())
+	got := mustEval(t, &algebra.TreeOp{From: &algebra.Literal{rows}, C: algebra.MustParseCons(`~$l: $v`)}, algebra.NewContext())
 	n := got.Rows[0][0].Tree
 	if n.Label != "cplace" || n.Atom.S != "Giverny" {
 		t.Errorf("constructed = %s", n)
@@ -321,8 +323,8 @@ func TestTreeLabelVariable(t *testing.T) {
 }
 
 func TestTreeEmptyInput(t *testing.T) {
-	got := mustEval(t, &TreeOp{From: &Literal{tab.New("$t")},
-		C: MustParseCons(`doc[ *title: $t ]`)}, NewContext())
+	got := mustEval(t, &algebra.TreeOp{From: &algebra.Literal{tab.New("$t")},
+		C: algebra.MustParseCons(`doc[ *title: $t ]`)}, algebra.NewContext())
 	if got.Len() != 1 {
 		t.Fatalf("rows = %d (empty doc skeleton)", got.Len())
 	}
@@ -334,7 +336,7 @@ func TestTreeEmptyInput(t *testing.T) {
 type fakeSource struct {
 	name   string
 	docs   map[string]data.Forest
-	pushed []Op
+	pushed []algebra.Op
 	result *tab.Tab
 }
 
@@ -347,7 +349,7 @@ func (f *fakeSource) Documents() []string {
 	return out
 }
 func (f *fakeSource) Fetch(doc string) (data.Forest, error) { return f.docs[doc], nil }
-func (f *fakeSource) Push(plan Op, params map[string]tab.Cell) (*tab.Tab, error) {
+func (f *fakeSource) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
 	f.pushed = append(f.pushed, plan)
 	return f.result, nil
 }
@@ -356,9 +358,9 @@ func TestSourceQueryAndStats(t *testing.T) {
 	res := tab.New("$t")
 	res.Add(tab.AtomCell(data.String("Nympheas")))
 	src := &fakeSource{name: "o2", docs: map[string]data.Forest{"artifacts": {figure1Works()}}, result: res}
-	ctx := NewContext()
+	ctx := algebra.NewContext()
 	ctx.Sources["o2"] = src
-	q := &SourceQuery{Source: "o2", Plan: &Literal{res}}
+	q := &algebra.SourceQuery{Source: "o2", Plan: &algebra.Literal{res}}
 	got := mustEval(t, q, ctx)
 	if got.Len() != 1 || len(src.pushed) != 1 {
 		t.Fatalf("push failed: %v", got)
@@ -367,17 +369,17 @@ func TestSourceQueryAndStats(t *testing.T) {
 		t.Errorf("stats = %+v", ctx.Stats)
 	}
 	// Doc resolution through a source counts a fetch.
-	d := &Doc{Name: "artifacts"}
+	d := &algebra.Doc{Name: "artifacts"}
 	if got := mustEval(t, d, ctx); got.Len() != 1 {
 		t.Errorf("doc rows = %d", got.Len())
 	}
 	if ctx.Stats.SourceFetches != 1 {
 		t.Errorf("fetches = %d", ctx.Stats.SourceFetches)
 	}
-	if _, err := (&Doc{Name: "nope"}).Eval(ctx); err == nil {
+	if _, err := exec.Collect(&algebra.Doc{Name: "nope"}, ctx); err == nil {
 		t.Error("unknown doc must fail")
 	}
-	if _, err := (&SourceQuery{Source: "nope", Plan: q.Plan}).Eval(ctx); err == nil {
+	if _, err := exec.Collect(&algebra.SourceQuery{Source: "nope", Plan: q.Plan}, ctx); err == nil {
 		t.Error("unknown source must fail")
 	}
 }
@@ -385,7 +387,7 @@ func TestSourceQueryAndStats(t *testing.T) {
 func TestExprEval(t *testing.T) {
 	cols := map[string]int{"$x": 0, "$y": 1}
 	row := tab.Row{tab.AtomCell(data.Int(3)), tab.AtomCell(data.Float(1.5))}
-	ctx := NewContext()
+	ctx := algebra.NewContext()
 	cases := []struct {
 		src  string
 		want string
@@ -406,7 +408,7 @@ func TestExprEval(t *testing.T) {
 		{`"a" = "a"`, "true"},
 	}
 	for _, c := range cases {
-		e := MustParseExpr(c.src)
+		e := algebra.MustParseExpr(c.src)
 		v, err := e.Eval(ctx, cols, row)
 		if err != nil {
 			t.Errorf("%s: %v", c.src, err)
@@ -422,9 +424,9 @@ func TestExprEval(t *testing.T) {
 func TestExprErrors(t *testing.T) {
 	cols := map[string]int{"$s": 0}
 	row := tab.Row{tab.AtomCell(data.String("x"))}
-	ctx := NewContext()
+	ctx := algebra.NewContext()
 	for _, src := range []string{`$s + 1`, `$missing = 1`, `$s / 0`, `unknownfn($s)`} {
-		e, err := ParseExpr(src)
+		e, err := algebra.ParseExpr(src)
 		if err != nil {
 			t.Errorf("parse %s: %v", src, err)
 			continue
@@ -433,27 +435,27 @@ func TestExprErrors(t *testing.T) {
 			t.Errorf("%s should fail at eval", src)
 		}
 	}
-	if _, err := ParseExpr(`1 +`); err == nil {
+	if _, err := algebra.ParseExpr(`1 +`); err == nil {
 		t.Error("dangling operator must fail")
 	}
-	if _, err := ParseExpr(`(1`); err == nil {
+	if _, err := algebra.ParseExpr(`(1`); err == nil {
 		t.Error("unbalanced paren must fail")
 	}
-	if _, err := ParseExpr(`1 2`); err == nil {
+	if _, err := algebra.ParseExpr(`1 2`); err == nil {
 		t.Error("trailing input must fail")
 	}
-	if _, err := ParseExpr(`name`); err == nil {
+	if _, err := algebra.ParseExpr(`name`); err == nil {
 		t.Error("bare name must fail (functions need parentheses)")
 	}
 }
 
 func TestCallFunction(t *testing.T) {
-	ctx := NewContext()
+	ctx := algebra.NewContext()
 	ctx.Funcs["double"] = func(args []tab.Cell) (tab.Cell, error) {
 		a, _ := args[0].AsAtom()
 		return tab.AtomCell(data.Int(a.I * 2)), nil
 	}
-	e := MustParseExpr(`double($x)`)
+	e := algebra.MustParseExpr(`double($x)`)
 	v, err := e.Eval(ctx, map[string]int{"$x": 0}, tab.Row{tab.AtomCell(data.Int(21))})
 	if err != nil {
 		t.Fatal(err)
@@ -467,9 +469,9 @@ func TestCallFunction(t *testing.T) {
 }
 
 func TestParamFallback(t *testing.T) {
-	ctx := NewContext()
+	ctx := algebra.NewContext()
 	ctx.Params = map[string]tab.Cell{"$p": tab.AtomCell(data.Int(7))}
-	v, err := Var{"$p"}.Eval(ctx, map[string]int{}, tab.Row{})
+	v, err := algebra.Var{"$p"}.Eval(ctx, map[string]int{}, tab.Row{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,13 +491,13 @@ func TestConsParsePrintStability(t *testing.T) {
 		`doc[]`,
 	}
 	for _, src := range cases {
-		c, err := ParseCons(src)
+		c, err := algebra.ParseCons(src)
 		if err != nil {
 			t.Errorf("ParseCons(%q): %v", src, err)
 			continue
 		}
 		printed := c.String()
-		c2, err := ParseCons(printed)
+		c2, err := algebra.ParseCons(printed)
 		if err != nil {
 			t.Errorf("reparse %q -> %q: %v", src, printed, err)
 			continue
@@ -512,22 +514,22 @@ func TestConsParseErrors(t *testing.T) {
 		`f($x) :=`, `doc[ x: ]`, `doc] y`, `~notavar`,
 	}
 	for _, src := range bad {
-		if _, err := ParseCons(src); err == nil {
+		if _, err := algebra.ParseCons(src); err == nil {
 			t.Errorf("ParseCons(%q) should fail", src)
 		}
 	}
 }
 
 func TestDescribePlan(t *testing.T) {
-	plan := &Select{
-		From: &Join{
-			L:    &Bind{Doc: "artifacts", F: filter.MustParse(`set[ *%[ title: $t ] ]`)},
-			R:    &Bind{Doc: "artworks", F: filter.MustParse(`works[ *work[ title: $t2 ] ]`)},
-			Pred: MustParseExpr(`$t = $t2`),
+	plan := &algebra.Select{
+		From: &algebra.Join{
+			L:    &algebra.Bind{Doc: "artifacts", F: filter.MustParse(`set[ *%[ title: $t ] ]`)},
+			R:    &algebra.Bind{Doc: "artworks", F: filter.MustParse(`works[ *work[ title: $t2 ] ]`)},
+			Pred: algebra.MustParseExpr(`$t = $t2`),
 		},
-		Pred: MustParseExpr(`$t != "x"`),
+		Pred: algebra.MustParseExpr(`$t != "x"`),
 	}
-	s := Describe(plan)
+	s := algebra.Describe(plan)
 	for _, frag := range []string{"Select", "Join", "Bind(artifacts", "Bind(artworks"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("Describe missing %q:\n%s", frag, s)
@@ -538,7 +540,7 @@ func TestDescribePlan(t *testing.T) {
 		t.Errorf("plan lines = %d", len(lines))
 	}
 	count := 0
-	Walk(plan, func(Op) bool { count++; return true })
+	algebra.Walk(plan, func(algebra.Op) bool { count++; return true })
 	if count != 4 {
 		t.Errorf("Walk visited %d ops", count)
 	}
@@ -554,11 +556,11 @@ func TestPropertyHashJoinEqualsNestedLoop(t *testing.T) {
 		for _, v := range rs {
 			r.Add(tab.AtomCell(data.Int(int64(v % 8))))
 		}
-		hash := &Join{L: &Literal{l}, R: &Literal{r}, Pred: MustParseExpr(`$a = $b`)}
+		hash := &algebra.Join{L: &algebra.Literal{l}, R: &algebra.Literal{r}, Pred: algebra.MustParseExpr(`$a = $b`)}
 		// Force nested loops via a semantically identical non-Var equality.
-		nested := &Join{L: &Literal{l}, R: &Literal{r}, Pred: MustParseExpr(`$a + 0 = $b + 0`)}
-		a, err1 := hash.Eval(NewContext())
-		b, err2 := nested.Eval(NewContext())
+		nested := &algebra.Join{L: &algebra.Literal{l}, R: &algebra.Literal{r}, Pred: algebra.MustParseExpr(`$a + 0 = $b + 0`)}
+		a, err1 := exec.Collect(hash, algebra.NewContext())
+		b, err2 := exec.Collect(nested, algebra.NewContext())
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -581,10 +583,10 @@ func TestPropertyDJoinMatchesJoinOnParams(t *testing.T) {
 		for _, v := range rs {
 			r.Add(tab.AtomCell(data.Int(int64(v % 5))))
 		}
-		dj := &DJoin{L: &Literal{l}, R: &Select{From: &Literal{r}, Pred: MustParseExpr(`$b = $a`)}}
-		j := &Join{L: &Literal{l}, R: &Literal{r}, Pred: MustParseExpr(`$a = $b`)}
-		a, err1 := dj.Eval(NewContext())
-		b, err2 := j.Eval(NewContext())
+		dj := &algebra.DJoin{L: &algebra.Literal{l}, R: &algebra.Select{From: &algebra.Literal{r}, Pred: algebra.MustParseExpr(`$b = $a`)}}
+		j := &algebra.Join{L: &algebra.Literal{l}, R: &algebra.Literal{r}, Pred: algebra.MustParseExpr(`$a = $b`)}
+		a, err1 := exec.Collect(dj, algebra.NewContext())
+		b, err2 := exec.Collect(j, algebra.NewContext())
 		if err1 != nil || err2 != nil {
 			return false
 		}

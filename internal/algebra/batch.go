@@ -211,11 +211,11 @@ func NewDJoinBindings(l *tab.Tab, vars []string, outer map[string]tab.Cell) *DJo
 	return b
 }
 
-// DJoinSet is the evaluation state of one set-at-a-time DJoin: the distinct
-// binding sets and the per-set results being filled in. The serial path
-// (DJoin.Eval) and the parallel engine (internal/exec) share it; the engine
-// runs EvalChunk/EvalSet units concurrently — they write disjoint Results
-// slots and only touch thread-safe state, so that is race-free.
+// DJoinSet is the evaluation state of one set-at-a-time DJoin over one bite
+// of its outer input: the distinct binding sets and the per-set results
+// being filled in. The engine (internal/exec) may run EvalChunk/EvalSet
+// units concurrently — they write disjoint Results slots and only touch
+// thread-safe state, so that is race-free.
 type DJoinSet struct {
 	Bindings *DJoinBindings
 	Results  []*tab.Tab
@@ -342,8 +342,8 @@ func (s *DJoinSet) evalChunk(ctx *Context, idxs []int) error {
 }
 
 // EvalSet evaluates the inner plan for one distinct binding set through
-// eval (the recursive evaluator of the caller — plain Eval serially, the
-// engine's eval under parallel execution). Used when not Batchable.
+// eval (the engine, which drains the inner plan's stream). Used when not
+// Batchable.
 func (s *DJoinSet) EvalSet(ctx *Context, i int, inner Op, eval func(*Context, Op) (*tab.Tab, error)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -356,13 +356,14 @@ func (s *DJoinSet) EvalSet(ctx *Context, i int, inner Op, eval func(*Context, Op
 	return nil
 }
 
-// Expand recombines the per-set results with the outer rows, producing
-// exactly the rows — in exactly the order — of per-row DJoin evaluation.
-func (s *DJoinSet) Expand(l *tab.Tab, cols []string) *tab.Tab {
+// ExpandRows recombines outer rows [lo, hi) of l with their binding sets'
+// result rows — exactly the rows, in exactly the order, of per-row DJoin
+// evaluation. The sets of those rows must be resolved.
+func (s *DJoinSet) ExpandRows(l *tab.Tab, lo, hi int, cols []string) *tab.Tab {
 	out := tab.New(cols...)
-	for ri, lr := range l.Rows {
-		sub := s.Results[s.Bindings.Row[ri]]
-		for _, rr := range sub.Rows {
+	for ri := lo; ri < hi; ri++ {
+		lr := l.Rows[ri]
+		for _, rr := range s.Results[s.Bindings.Row[ri]].Rows {
 			out.AddRow(append(lr.Clone(), rr...))
 		}
 	}

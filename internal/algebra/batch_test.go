@@ -1,4 +1,4 @@
-package algebra
+package algebra_test
 
 import (
 	"context"
@@ -6,37 +6,39 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/tab"
 )
 
 func TestFreeVars(t *testing.T) {
 	inner := tab.New("$v")
 	inner.Add(tab.AtomCell(data.Int(1)))
-	lit := &Literal{T: inner}
+	lit := &algebra.Literal{T: inner}
 	cases := []struct {
 		name string
-		plan Op
+		plan algebra.Op
 		want string
 	}{
-		{"select over literal", &Select{From: lit, Pred: MustParseExpr(`$v = $n`)}, "$n"},
-		{"bound by input", &Select{From: lit, Pred: MustParseExpr(`$v = 1`)}, ""},
-		{"param bind", &Bind{Col: "$w", F: mustFilter(t, `x: $y`)}, "$w"},
-		{"doc bind", &Bind{Doc: "d", F: mustFilter(t, `x: $y`)}, ""},
-		{"map expr", &MapExpr{From: lit, Col: "$m", E: MustParseExpr(`$v + $k`)}, "$k"},
-		{"source query", &SourceQuery{Source: "s", Plan: &Select{From: lit, Pred: MustParseExpr(`$v = $p`)}}, "$p"},
-		{"join needs both", &Join{L: lit, R: &Literal{T: tab.New("$w")},
-			Pred: MustParseExpr(`$v = $w AND $q = 1`)}, "$q"},
+		{"select over literal", &algebra.Select{From: lit, Pred: algebra.MustParseExpr(`$v = $n`)}, "$n"},
+		{"bound by input", &algebra.Select{From: lit, Pred: algebra.MustParseExpr(`$v = 1`)}, ""},
+		{"param bind", &algebra.Bind{Col: "$w", F: mustFilter(t, `x: $y`)}, "$w"},
+		{"doc bind", &algebra.Bind{Doc: "d", F: mustFilter(t, `x: $y`)}, ""},
+		{"map expr", &algebra.MapExpr{From: lit, Col: "$m", E: algebra.MustParseExpr(`$v + $k`)}, "$k"},
+		{"source query", &algebra.SourceQuery{Source: "s", Plan: &algebra.Select{From: lit, Pred: algebra.MustParseExpr(`$v = $p`)}}, "$p"},
+		{"join needs both", &algebra.Join{L: lit, R: &algebra.Literal{T: tab.New("$w")},
+			Pred: algebra.MustParseExpr(`$v = $w AND $q = 1`)}, "$q"},
 		// A nested DJoin satisfies its inner plan's $v from its own left
 		// columns; only $z escapes.
-		{"djoin subtracts left columns", &DJoin{L: lit,
-			R: &Select{From: &Literal{T: tab.New("$w")}, Pred: MustParseExpr(`$w = $v AND $w = $z`)}}, "$z"},
+		{"djoin subtracts left columns", &algebra.DJoin{L: lit,
+			R: &algebra.Select{From: &algebra.Literal{T: tab.New("$w")}, Pred: algebra.MustParseExpr(`$w = $v AND $w = $z`)}}, "$z"},
 		// Cons variables read input columns, never parameters.
-		{"cons excluded", &TreeOp{From: lit, C: MustParseCons(`work[ title: $v ]`)}, ""},
+		{"cons excluded", &algebra.TreeOp{From: lit, C: algebra.MustParseCons(`work[ title: $v ]`)}, ""},
 		{"nil plan", nil, ""},
 	}
 	for _, c := range cases {
-		got := strings.Join(FreeVars(c.plan), ",")
+		got := strings.Join(algebra.FreeVars(c.plan), ",")
 		if got != c.want {
 			t.Errorf("%s: FreeVars = %q, want %q", c.name, got, c.want)
 		}
@@ -45,15 +47,15 @@ func TestFreeVars(t *testing.T) {
 
 func TestResultCacheLRU(t *testing.T) {
 	one := tab.New("$a")
-	if NewResultCache(0) != nil {
+	if algebra.NewResultCache(0) != nil {
 		t.Fatal("bound < 1 must disable the cache")
 	}
-	var nilCache *ResultCache
+	var nilCache *algebra.ResultCache
 	if _, ok := nilCache.Get("k"); ok || nilCache.Put("k", one) || nilCache.Len() != 0 {
 		t.Fatal("nil cache must be inert")
 	}
 
-	c := NewResultCache(2)
+	c := algebra.NewResultCache(2)
 	if c.Put("a", one) || c.Put("b", one) {
 		t.Fatal("no eviction below capacity")
 	}
@@ -87,7 +89,7 @@ func TestDJoinBindingsDedup(t *testing.T) {
 	add("b", 4)
 
 	outer := map[string]tab.Cell{"$k": tab.AtomCell(data.Int(9))}
-	b := NewDJoinBindings(l, []string{"$k", "$n", "$ghost"}, outer)
+	b := algebra.NewDJoinBindings(l, []string{"$k", "$n", "$ghost"}, outer)
 	if len(b.Sets) != 2 {
 		t.Fatalf("distinct sets = %d, want 2", len(b.Sets))
 	}
@@ -105,13 +107,13 @@ func TestDJoinBindingsDedup(t *testing.T) {
 		t.Error("distinct sets must have distinct keys")
 	}
 
-	empty := NewDJoinBindings(tab.New("$n"), []string{"$n"}, nil)
+	empty := algebra.NewDJoinBindings(tab.New("$n"), []string{"$n"}, nil)
 	if len(empty.Sets) != 0 || len(empty.Row) != 0 {
 		t.Errorf("empty outer input: %+v", empty)
 	}
 
 	// With no free variables every row shares the one empty binding set.
-	none := NewDJoinBindings(l, nil, nil)
+	none := algebra.NewDJoinBindings(l, nil, nil)
 	if len(none.Sets) != 1 {
 		t.Errorf("no free vars: sets = %d, want 1", len(none.Sets))
 	}
@@ -127,26 +129,26 @@ type evalBatchSource struct {
 	seen       int
 }
 
-func (f *evalBatchSource) evalOne(plan Op, params map[string]tab.Cell) (*tab.Tab, error) {
+func (f *evalBatchSource) evalOne(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
 	f.seen++
 	if f.failAt > 0 && f.seen >= f.failAt {
 		return nil, fmt.Errorf("wrapper exploded")
 	}
-	ctx := NewContext()
+	ctx := algebra.NewContext()
 	ctx.Params = params
-	return plan.Eval(ctx)
+	return exec.Collect(plan, ctx)
 }
 
-func (f *evalBatchSource) Push(plan Op, params map[string]tab.Cell) (*tab.Tab, error) {
+func (f *evalBatchSource) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
 	f.rowCalls++
 	return f.evalOne(plan, params)
 }
 
-func (f *evalBatchSource) PushBatch(plan Op, bindings []map[string]tab.Cell) ([]*tab.Tab, error) {
+func (f *evalBatchSource) PushBatch(plan algebra.Op, bindings []map[string]tab.Cell) ([]*tab.Tab, error) {
 	return f.PushBatchContext(context.Background(), plan, bindings)
 }
 
-func (f *evalBatchSource) PushBatchContext(_ context.Context, plan Op, bindings []map[string]tab.Cell) ([]*tab.Tab, error) {
+func (f *evalBatchSource) PushBatchContext(_ context.Context, plan algebra.Op, bindings []map[string]tab.Cell) ([]*tab.Tab, error) {
 	f.batchCalls++
 	out := make([]*tab.Tab, len(bindings))
 	for i, b := range bindings {
@@ -161,7 +163,7 @@ func (f *evalBatchSource) PushBatchContext(_ context.Context, plan Op, bindings 
 
 // batchFixture returns a DJoin whose inner plan is a pushdown SourceQuery,
 // an outer input with duplicate binding rows, and the counting source.
-func batchFixture() (*DJoin, *evalBatchSource, *Context) {
+func batchFixture() (*algebra.DJoin, *evalBatchSource, *algebra.Context) {
 	inner := tab.New("$v")
 	for i := 1; i <= 3; i++ {
 		inner.Add(tab.AtomCell(data.Int(int64(i))))
@@ -170,15 +172,15 @@ func batchFixture() (*DJoin, *evalBatchSource, *Context) {
 	for _, n := range []int64{1, 2, 1, 3, 2, 1} {
 		l.Add(tab.AtomCell(data.Int(n)))
 	}
-	j := &DJoin{
-		L: &Literal{T: l},
-		R: &SourceQuery{Source: "w", Plan: &Select{
-			From: &Literal{T: inner},
-			Pred: MustParseExpr(`$v <= $n`),
+	j := &algebra.DJoin{
+		L: &algebra.Literal{T: l},
+		R: &algebra.SourceQuery{Source: "w", Plan: &algebra.Select{
+			From: &algebra.Literal{T: inner},
+			Pred: algebra.MustParseExpr(`$v <= $n`),
 		}},
 	}
 	src := &evalBatchSource{fakeSource: fakeSource{name: "w"}}
-	ctx := NewContext()
+	ctx := algebra.NewContext()
 	ctx.Sources["w"] = src
 	return j, src, ctx
 }
@@ -186,7 +188,7 @@ func batchFixture() (*DJoin, *evalBatchSource, *Context) {
 func TestDJoinBatchedMatchesPerRow(t *testing.T) {
 	j, src, ctx := batchFixture()
 	ctx.PerRowDJoin = true
-	want, err := j.Eval(ctx)
+	want, err := exec.Collect(j, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +197,7 @@ func TestDJoinBatchedMatchesPerRow(t *testing.T) {
 	}
 
 	j2, src2, ctx2 := batchFixture()
-	got, err := j2.Eval(ctx2)
+	got, err := exec.Collect(j2, ctx2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +213,7 @@ func TestDJoinBatchedMatchesPerRow(t *testing.T) {
 	// A chunk bound of 2 splits 3 distinct bindings into 2 round trips.
 	j3, src3, ctx3 := batchFixture()
 	ctx3.BatchChunk = 2
-	if _, err := j3.Eval(ctx3); err != nil {
+	if _, err := exec.Collect(j3, ctx3); err != nil {
 		t.Fatal(err)
 	}
 	if src3.batchCalls != 2 || ctx3.Stats.SourcePushes != 2 {
@@ -220,10 +222,10 @@ func TestDJoinBatchedMatchesPerRow(t *testing.T) {
 }
 
 func TestDJoinWarmCacheSkipsPushes(t *testing.T) {
-	cache := NewResultCache(16)
+	cache := algebra.NewResultCache(16)
 	j, src, ctx := batchFixture()
 	ctx.Cache = cache
-	cold, err := j.Eval(ctx)
+	cold, err := exec.Collect(j, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +234,10 @@ func TestDJoinWarmCacheSkipsPushes(t *testing.T) {
 	}
 
 	// Same plan, fresh context, shared cache: zero round trips.
-	ctx2 := NewContext()
+	ctx2 := algebra.NewContext()
 	ctx2.Sources["w"] = src
 	ctx2.Cache = cache
-	warm, err := j.Eval(ctx2)
+	warm, err := exec.Collect(j, ctx2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +250,11 @@ func TestDJoinWarmCacheSkipsPushes(t *testing.T) {
 
 	// The cache also answers a plain SourceQuery push of the same subplan
 	// under the same binding (key unification across both paths).
-	ctx3 := NewContext()
+	ctx3 := algebra.NewContext()
 	ctx3.Sources["w"] = src
 	ctx3.Cache = cache
 	ctx3.Params = map[string]tab.Cell{"$n": tab.AtomCell(data.Int(2))}
-	if _, err := j.R.Eval(ctx3); err != nil {
+	if _, err := exec.Collect(j.R, ctx3); err != nil {
 		t.Fatal(err)
 	}
 	if ctx3.Stats.CacheHits != 1 || ctx3.Stats.SourcePushes != 0 {
@@ -261,11 +263,11 @@ func TestDJoinWarmCacheSkipsPushes(t *testing.T) {
 }
 
 func TestDJoinBatchErrorLeavesCacheClean(t *testing.T) {
-	cache := NewResultCache(16)
+	cache := algebra.NewResultCache(16)
 	j, src, ctx := batchFixture()
 	src.failAt = 2 // second binding of the batch fails
 	ctx.Cache = cache
-	if _, err := j.Eval(ctx); err == nil || !strings.Contains(err.Error(), "wrapper exploded") {
+	if _, err := exec.Collect(j, ctx); err == nil || !strings.Contains(err.Error(), "wrapper exploded") {
 		t.Fatalf("batch error must propagate, got %v", err)
 	}
 	if cache.Len() != 0 {
@@ -279,19 +281,19 @@ func TestDJoinDedupWithoutBatchSource(t *testing.T) {
 	// evaluations via Stats.FuncCalls.
 	inner := tab.New("$v")
 	inner.Add(tab.AtomCell(data.Int(1)))
-	j := &DJoin{
-		L: &Literal{T: func() *tab.Tab {
+	j := &algebra.DJoin{
+		L: &algebra.Literal{T: func() *tab.Tab {
 			l := tab.New("$n")
 			for _, n := range []int64{5, 7, 5, 7, 5} {
 				l.Add(tab.AtomCell(data.Int(n)))
 			}
 			return l
 		}()},
-		R: &Select{From: &Literal{T: inner}, Pred: MustParseExpr(`mark($n) > $v`)},
+		R: &algebra.Select{From: &algebra.Literal{T: inner}, Pred: algebra.MustParseExpr(`mark($n) > $v`)},
 	}
-	ctx := NewContext()
+	ctx := algebra.NewContext()
 	ctx.Funcs["mark"] = func(args []tab.Cell) (tab.Cell, error) { return args[0], nil }
-	got, err := j.Eval(ctx)
+	got, err := exec.Collect(j, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +307,8 @@ func TestDJoinDedupWithoutBatchSource(t *testing.T) {
 
 func TestDJoinEmptyOuter(t *testing.T) {
 	j, src, ctx := batchFixture()
-	j.L = &Literal{T: tab.New("$n")}
-	got, err := j.Eval(ctx)
+	j.L = &algebra.Literal{T: tab.New("$n")}
+	got, err := exec.Collect(j, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,14 +139,7 @@ func partition(rows []tab.Row, cols map[string]int, keys []string) [][]tab.Row {
 	var order []string
 	groups := map[string][]tab.Row{}
 	for _, r := range rows {
-		var b strings.Builder
-		for _, k := range keys {
-			if i, ok := cols[k]; ok && i < len(r) {
-				b.WriteString(r[i].Key())
-			}
-			b.WriteByte('\x00')
-		}
-		k := b.String()
+		k := rowKey(r, cols, keys)
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
@@ -157,6 +150,18 @@ func partition(rows []tab.Row, cols map[string]int, keys []string) [][]tab.Row {
 		out[i] = groups[k]
 	}
 	return out
+}
+
+// rowKey renders a row's values of the key columns as a grouping key.
+func rowKey(r tab.Row, cols map[string]int, keys []string) string {
+	var b strings.Builder
+	for _, k := range keys {
+		if i, ok := cols[k]; ok && i < len(r) {
+			b.WriteString(r[i].Key())
+		}
+		b.WriteByte('\x00')
+	}
+	return b.String()
 }
 
 // build constructs the forest for one partition of rows.
@@ -379,20 +384,72 @@ func (t *TreeOp) Children() []Op { return []Op{t.From} }
 // Detail implements Op.
 func (t *TreeOp) Detail() string { return fmt.Sprintf("Tree(%s)", t.C) }
 
-// Eval implements Op.
-func (t *TreeOp) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(t.From, ctx)
-	if err != nil {
-		return nil, err
-	}
+// Apply builds the forest over the whole materialized input and registers
+// every constructed tree in the context's store.
+func (t *TreeOp) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
 	forest, err := t.C.BuildForest(in, ctx.Skolem)
 	if err != nil {
 		return nil, err
 	}
+	return t.emit(ctx, forest), nil
+}
+
+func (t *TreeOp) emit(ctx *Context, forest data.Forest) *tab.Tab {
 	out := tab.New(t.col())
 	for _, n := range forest {
 		ctx.Store.Register(n)
 		out.Add(tab.TreeCell(n))
 	}
-	return out, nil
+	return out
+}
+
+// Pipelines reports whether the Tree can be built chunk by chunk: the root
+// is keyed (non-empty DirectVars) and no item at any depth is starred. Each
+// output tree then depends on the first row of its key group only, so
+// building at first sight of a key — in input order — yields exactly
+// BuildForest's trees, in its order and with its Skolem mint order. Any
+// other construction groups rows across the whole input.
+func (t *TreeOp) Pipelines() bool {
+	return len(t.C.DirectVars()) > 0 && !t.C.hasStar()
+}
+
+func (c *Cons) hasStar() bool {
+	for _, it := range c.Kids {
+		if it.Star || (it.C != nil && it.C.hasStar()) {
+			return true
+		}
+	}
+	return false
+}
+
+// TreeStream is the per-evaluation state of a pipelined Tree: the root keys
+// already built, kept across chunks.
+type TreeStream struct {
+	t    *TreeOp
+	keys []string
+	seen map[string]bool
+}
+
+// Stream starts a chunk-by-chunk build; only valid when Pipelines.
+func (t *TreeOp) Stream() *TreeStream {
+	return &TreeStream{t: t, keys: t.C.DirectVars(), seen: map[string]bool{}}
+}
+
+// Apply builds the trees of the root keys first seen in this chunk.
+func (s *TreeStream) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
+	cols := colIndex(in.Cols)
+	var forest data.Forest
+	for _, r := range in.Rows {
+		k := rowKey(r, cols, s.keys)
+		if s.seen[k] {
+			continue
+		}
+		s.seen[k] = true
+		f, err := build(s.t.C, []tab.Row{r}, cols, ctx.Skolem)
+		if err != nil {
+			return nil, err
+		}
+		forest = append(forest, f...)
+	}
+	return s.t.emit(ctx, forest), nil
 }

@@ -1,11 +1,13 @@
-package algebra
+package algebra_test
 
 import (
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/filter"
 	"repro/internal/tab"
 )
@@ -23,7 +25,7 @@ func TestExprVarsAndStrings(t *testing.T) {
 		{`"const"`, nil},
 	}
 	for _, c := range cases {
-		e := MustParseExpr(c.src)
+		e := algebra.MustParseExpr(c.src)
 		got := append([]string(nil), e.Vars()...)
 		sort.Strings(got)
 		want := append([]string(nil), c.vars...)
@@ -32,7 +34,7 @@ func TestExprVarsAndStrings(t *testing.T) {
 			t.Errorf("%s: Vars = %v, want %v", c.src, got, want)
 		}
 		// String round-trips through the parser.
-		back, err := ParseExpr(e.String())
+		back, err := algebra.ParseExpr(e.String())
 		if err != nil {
 			t.Errorf("reparse %q: %v", e.String(), err)
 			continue
@@ -44,39 +46,39 @@ func TestExprVarsAndStrings(t *testing.T) {
 }
 
 func TestExprHelpers(t *testing.T) {
-	if Eq(Var{"$a"}, Var{"$b"}).String() != "$a = $b" {
+	if algebra.Eq(algebra.Var{"$a"}, algebra.Var{"$b"}).String() != "$a = $b" {
 		t.Error("Eq")
 	}
-	if VarEq("$a", "$b").String() != "$a = $b" {
+	if algebra.VarEq("$a", "$b").String() != "$a = $b" {
 		t.Error("VarEq")
 	}
-	if Conj().String() != "true" {
+	if algebra.Conj().String() != "true" {
 		t.Error("empty Conj is true")
 	}
-	one := MustParseExpr(`$a = 1`)
-	if Conj(one, nil).String() != one.String() {
+	one := algebra.MustParseExpr(`$a = 1`)
+	if algebra.Conj(one, nil).String() != one.String() {
 		t.Error("Conj skips nils")
 	}
-	conj := Conj(one, MustParseExpr(`$b = 2`), MustParseExpr(`$c = 3`))
-	if len(SplitConj(conj)) != 3 {
-		t.Errorf("SplitConj = %v", SplitConj(conj))
+	conj := algebra.Conj(one, algebra.MustParseExpr(`$b = 2`), algebra.MustParseExpr(`$c = 3`))
+	if len(algebra.SplitConj(conj)) != 3 {
+		t.Errorf("SplitConj = %v", algebra.SplitConj(conj))
 	}
-	if len(SplitConj(TrueExpr())) != 0 {
+	if len(algebra.SplitConj(algebra.TrueExpr())) != 0 {
 		t.Error("SplitConj(true) is empty")
 	}
-	if a, b, ok := EqColumns(MustParseExpr(`$x = $y`)); !ok || a != "$x" || b != "$y" {
+	if a, b, ok := algebra.EqColumns(algebra.MustParseExpr(`$x = $y`)); !ok || a != "$x" || b != "$y" {
 		t.Error("EqColumns on var=var")
 	}
-	if _, _, ok := EqColumns(MustParseExpr(`$x = 1`)); ok {
+	if _, _, ok := algebra.EqColumns(algebra.MustParseExpr(`$x = 1`)); ok {
 		t.Error("EqColumns must reject var=const")
 	}
-	if _, _, ok := EqColumns(MustParseExpr(`$x < $y`)); ok {
+	if _, _, ok := algebra.EqColumns(algebra.MustParseExpr(`$x < $y`)); ok {
 		t.Error("EqColumns must reject non-eq")
 	}
 }
 
 func TestBuiltinIDFunction(t *testing.T) {
-	ctx := NewContext()
+	ctx := algebra.NewContext()
 	fn := ctx.Funcs["id"]
 	ident := data.Elem("class").WithID("a1")
 	v, err := fn([]tab.Cell{tab.TreeCell(ident)})
@@ -107,9 +109,9 @@ func TestBuiltinIDFunction(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{SourceFetches: 1, SourcePushes: 2, TuplesShipped: 3, BytesShipped: 4, FuncCalls: 5, BindRows: 6,
+	a := algebra.Stats{SourceFetches: 1, SourcePushes: 2, TuplesShipped: 3, BytesShipped: 4, FuncCalls: 5, BindRows: 6,
 		CacheHits: 7, CacheMisses: 8, CacheEvictions: 9}
-	b := Stats{SourceFetches: 10, SourcePushes: 20, TuplesShipped: 30, BytesShipped: 40, FuncCalls: 50, BindRows: 60,
+	b := algebra.Stats{SourceFetches: 10, SourcePushes: 20, TuplesShipped: 30, BytesShipped: 40, FuncCalls: 50, BindRows: 60,
 		CacheHits: 70, CacheMisses: 80, CacheEvictions: 90}
 	a.Add(b)
 	if a.SourceFetches != 11 || a.SourcePushes != 22 || a.TuplesShipped != 33 ||
@@ -119,17 +121,8 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-func TestRunHelper(t *testing.T) {
-	lit := tab.New("$x")
-	lit.Add(tab.AtomCell(data.Int(1)))
-	res, err := Run(&Literal{T: lit}, NewContext())
-	if err != nil || res.Len() != 1 {
-		t.Errorf("Run = %v, %v", res, err)
-	}
-}
-
 func TestConsVarHelpers(t *testing.T) {
-	c := MustParseCons(`doc[ *artwork($t, $c) := work[ title: $t, owner: &person($o) ], note: $n ]`)
+	c := algebra.MustParseCons(`doc[ *artwork($t, $c) := work[ title: $t, owner: &person($o) ], note: $n ]`)
 	direct := strings.Join(c.DirectVars(), ",")
 	if direct != "$n" {
 		t.Errorf("DirectVars = %q (starred kids excluded)", direct)
@@ -143,15 +136,15 @@ func TestConsVarHelpers(t *testing.T) {
 }
 
 func TestBindParamErrorAndUnknownColumn(t *testing.T) {
-	ctx := NewContext()
-	b := &Bind{Col: "$missing", F: mustFilter(t, `x: $v`)}
-	if _, err := b.Eval(ctx); err == nil {
+	ctx := algebra.NewContext()
+	b := &algebra.Bind{Col: "$missing", F: mustFilter(t, `x: $v`)}
+	if _, err := exec.Collect(b, ctx); err == nil {
 		t.Error("bind over unbound parameter must fail")
 	}
 	lit := tab.New("$a")
 	lit.Add(tab.AtomCell(data.Int(1)))
-	b2 := &Bind{From: &Literal{T: lit}, Col: "$nope", F: mustFilter(t, `x: $v`)}
-	if _, err := b2.Eval(ctx); err == nil {
+	b2 := &algebra.Bind{From: &algebra.Literal{T: lit}, Col: "$nope", F: mustFilter(t, `x: $v`)}
+	if _, err := exec.Collect(b2, ctx); err == nil {
 		t.Error("bind over unknown column must fail")
 	}
 }
@@ -159,12 +152,12 @@ func TestBindParamErrorAndUnknownColumn(t *testing.T) {
 func TestMapErrorPropagates(t *testing.T) {
 	lit := tab.New("$s")
 	lit.Add(tab.AtomCell(data.String("x")))
-	m := &MapExpr{From: &Literal{T: lit}, Col: "$y", E: MustParseExpr(`$s + 1`)}
-	if _, err := m.Eval(NewContext()); err == nil {
+	m := &algebra.MapExpr{From: &algebra.Literal{T: lit}, Col: "$y", E: algebra.MustParseExpr(`$s + 1`)}
+	if _, err := exec.Collect(m, algebra.NewContext()); err == nil {
 		t.Error("map over type error must fail")
 	}
-	s := &Select{From: &Literal{T: lit}, Pred: MustParseExpr(`$s + 1`)}
-	if _, err := s.Eval(NewContext()); err == nil {
+	s := &algebra.Select{From: &algebra.Literal{T: lit}, Pred: algebra.MustParseExpr(`$s + 1`)}
+	if _, err := exec.Collect(s, algebra.NewContext()); err == nil {
 		t.Error("non-boolean predicate must fail")
 	}
 }
@@ -174,19 +167,19 @@ func TestSortAndGroupDetails(t *testing.T) {
 	lit.Add(tab.AtomCell(data.String("b")), tab.AtomCell(data.Int(1)))
 	lit.Add(tab.AtomCell(data.String("a")), tab.AtomCell(data.Int(2)))
 	lit.Add(tab.AtomCell(data.String("a")), tab.AtomCell(data.Int(3)))
-	srt := &Sort{From: &Literal{T: lit}, Cols: []string{"$k", "$v"}}
+	srt := &algebra.Sort{From: &algebra.Literal{T: lit}, Cols: []string{"$k", "$v"}}
 	if !strings.Contains(srt.Detail(), "$k") {
 		t.Error("Sort detail")
 	}
-	res, err := srt.Eval(NewContext())
+	res, err := exec.Collect(srt, algebra.NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a, _ := res.Rows[0][1].AsAtom(); a.I != 2 {
 		t.Errorf("sorted first = %v", res.Rows[0])
 	}
-	grp := &Group{From: &Literal{T: lit}, Keys: []string{"$k"}, Into: "$g"}
-	gres, err := grp.Eval(NewContext())
+	grp := &algebra.Group{From: &algebra.Literal{T: lit}, Keys: []string{"$k"}, Into: "$g"}
+	gres, err := exec.Collect(grp, algebra.NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,17 +159,18 @@ type Context struct {
 	// exec.Options.AllowPartial). Shared, not forked: every worker
 	// records into the same report.
 	Partial *PartialReport
-	// Trace, when non-nil, is the span the current work belongs to:
-	// EvalOp opens a child span per operator evaluation under it, and the
-	// counter-mutation sites mirror their Stats increments into it (see
-	// internal/obs). Nil means tracing is off — the only cost is a nil
-	// check per operator.
+	// Trace, when non-nil, is the span the current work belongs to: the
+	// engine (internal/exec) opens a child span per operator under it, and
+	// the counter-mutation sites mirror their Stats increments into it
+	// (see internal/obs). Nil means tracing is off — the only cost is a
+	// nil check per operator.
 	Trace *obs.Span
 	// CheckWire, when non-nil, validates every wrapper response the
-	// moment it arrives: SourceQuery.Eval calls it with the shipped table
-	// before caching or returning it, and a non-nil error aborts the
-	// query. The mediator installs a checker comparing rows against the
-	// plan's inferred types when ExecOptions.CheckTypes is set.
+	// moment it arrives: SourceQuery.Load and SourceQuery.Stream call it
+	// with every shipped table or chunk before caching or returning it,
+	// and a non-nil error aborts the query. The mediator installs a
+	// checker comparing rows against the plan's inferred types when
+	// ExecOptions.CheckTypes is set.
 	CheckWire func(q *SourceQuery, t *tab.Tab) error
 }
 
@@ -281,20 +282,18 @@ func (c *Context) Input(name string) (data.Forest, error) {
 	return nil, fmt.Errorf("algebra: unknown input %q (known: %s)", name, strings.Join(names, ", "))
 }
 
-// Op is a node of an algebraic plan.
+// Op is a node of an algebraic plan. Operators carry no evaluator of their
+// own: internal/exec streams every plan, calling each operator's
+// non-recursive kernel (Load for leaves, Apply/Probe per input chunk, or
+// Apply once over a drained input for the blocking operators).
 type Op interface {
 	// Columns returns the output column names, statically.
 	Columns() []string
 	// Children returns the input plans.
 	Children() []Op
-	// Eval materializes the operator's result.
-	Eval(ctx *Context) (*tab.Tab, error)
 	// Detail renders the operator head for plan printing.
 	Detail() string
 }
-
-// Run evaluates a plan against a context (traced when ctx.Trace is set).
-func Run(op Op, ctx *Context) (*tab.Tab, error) { return EvalOp(op, ctx) }
 
 // ---------------------------------------------------------------------------
 // Doc: named-document input
@@ -324,8 +323,8 @@ func (d *Doc) Children() []Op { return nil }
 // Detail implements Op.
 func (d *Doc) Detail() string { return fmt.Sprintf("Doc(%s)", d.Name) }
 
-// Eval implements Op.
-func (d *Doc) Eval(ctx *Context) (*tab.Tab, error) {
+// Load reads the document: one row per tree of its forest.
+func (d *Doc) Load(ctx *Context) (*tab.Tab, error) {
 	f, err := ctx.Input(d.Name)
 	if err != nil {
 		return nil, err
@@ -381,48 +380,59 @@ func (b *Bind) Detail() string {
 	return fmt.Sprintf("Bind(%s, %s)", src, b.F)
 }
 
-// Eval implements Op.
-func (b *Bind) Eval(ctx *Context) (*tab.Tab, error) {
-	f := b.F
-	if f.Model == nil && ctx.Model != nil {
-		f = &filter.Filter{Root: f.Root, Model: ctx.Model}
+// filter returns the Bind's filter, resolving named types through the
+// context's model when the filter carries none of its own.
+func (b *Bind) filter(ctx *Context) *filter.Filter {
+	if b.F.Model == nil && ctx.Model != nil {
+		return &filter.Filter{Root: b.F.Root, Model: ctx.Model}
 	}
+	return b.F
+}
+
+// Load evaluates a leaf Bind: over a named document (Doc != "") or over a
+// DJoin parameter (From == nil). A dependent Bind (From != nil) is
+// evaluated chunk by chunk with Apply instead.
+func (b *Bind) Load(ctx *Context) (*tab.Tab, error) {
+	var forest data.Forest
 	switch {
 	case b.Doc != "":
-		forest, err := ctx.Input(b.Doc)
+		f, err := ctx.Input(b.Doc)
 		if err != nil {
 			return nil, err
 		}
-		t := f.MatchForest(ctx.Store, forest)
-		ctx.Stats.BindRows += t.Len()
-		return t, nil
-	case b.From == nil:
+		forest = f
+	case b.From != nil:
+		return nil, fmt.Errorf("algebra: Load on a dependent Bind over %s", b.Col)
+	default:
 		cell, ok := ctx.Params[b.Col]
 		if !ok {
 			return nil, fmt.Errorf("algebra: Bind over unbound parameter %s", b.Col)
 		}
-		t := f.MatchForest(ctx.Store, cell.AsForest())
-		ctx.Stats.BindRows += t.Len()
-		return t, nil
-	default:
-		in, err := EvalOp(b.From, ctx)
-		if err != nil {
-			return nil, err
-		}
-		ci := in.ColIndex(b.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("algebra: Bind over unknown column %s of %v", b.Col, in.Cols)
-		}
-		out := tab.New(b.Columns()...)
-		for _, r := range in.Rows {
-			sub := f.MatchForest(ctx.Store, r[ci].AsForest())
-			for _, sr := range sub.Rows {
-				out.AddRow(append(r.Clone(), sr...))
-			}
-		}
-		ctx.Stats.BindRows += out.Len()
-		return out, nil
+		forest = cell.AsForest()
 	}
+	t := b.filter(ctx).MatchForest(ctx.Store, forest)
+	ctx.Stats.BindRows += t.Len()
+	return t, nil
+}
+
+// Apply evaluates a dependent Bind over one chunk of its input: every row
+// is extended with each binding the filter finds in the trees of column
+// Col.
+func (b *Bind) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
+	ci := in.ColIndex(b.Col)
+	if ci < 0 {
+		return nil, fmt.Errorf("algebra: Bind over unknown column %s of %v", b.Col, in.Cols)
+	}
+	f := b.filter(ctx)
+	out := tab.New(b.Columns()...)
+	for _, r := range in.Rows {
+		sub := f.MatchForest(ctx.Store, r[ci].AsForest())
+		for _, sr := range sub.Rows {
+			out.AddRow(append(r.Clone(), sr...))
+		}
+	}
+	ctx.Stats.BindRows += out.Len()
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -444,12 +454,8 @@ func (s *Select) Children() []Op { return []Op{s.From} }
 // Detail implements Op.
 func (s *Select) Detail() string { return fmt.Sprintf("Select(%s)", s.Pred) }
 
-// Eval implements Op.
-func (s *Select) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(s.From, ctx)
-	if err != nil {
-		return nil, err
-	}
+// Apply keeps the rows of one input chunk that satisfy the predicate.
+func (s *Select) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
 	cols := colIndex(in.Cols)
 	out := tab.New(in.Cols...)
 	for _, r := range in.Rows {
@@ -489,14 +495,8 @@ func (p *Project) Children() []Op { return []Op{p.From} }
 // Detail implements Op.
 func (p *Project) Detail() string { return fmt.Sprintf("Project(%s)", strings.Join(p.Cols, ", ")) }
 
-// Eval implements Op.
-func (p *Project) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(p.From, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return in.Project(p.Cols...), nil
-}
+// Apply projects one input chunk.
+func (p *Project) Apply(in *tab.Tab) *tab.Tab { return in.Project(p.Cols...) }
 
 // MapExpr extends each row with a computed column (the algebra's Map).
 type MapExpr struct {
@@ -514,12 +514,8 @@ func (m *MapExpr) Children() []Op { return []Op{m.From} }
 // Detail implements Op.
 func (m *MapExpr) Detail() string { return fmt.Sprintf("Map(%s := %s)", m.Col, m.E) }
 
-// Eval implements Op.
-func (m *MapExpr) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(m.From, ctx)
-	if err != nil {
-		return nil, err
-	}
+// Apply extends every row of one input chunk with the computed column.
+func (m *MapExpr) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
 	cols := colIndex(in.Cols)
 	out := tab.New(m.Columns()...)
 	for _, r := range in.Rows {
@@ -553,34 +549,43 @@ func (j *Join) Children() []Op { return []Op{j.L, j.R} }
 // Detail implements Op.
 func (j *Join) Detail() string { return fmt.Sprintf("Join(%s)", j.Pred) }
 
-// Eval implements Op.
-func (j *Join) Eval(ctx *Context) (*tab.Tab, error) {
-	l, err := EvalOp(j.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := EvalOp(j.R, ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := tab.New(j.Columns()...)
-	cols := colIndex(out.Cols)
-	// Hash strategy: collect cross-side equalities.
-	var lKeys, rKeys []int
+// Build starts a join over a materialized right (build) input; the left
+// input is then probed against it chunk by chunk.
+func (j *Join) Build(r *tab.Tab) *JoinTable { return &JoinTable{j: j, r: r} }
+
+// JoinTable is the build side of a Join. When the predicate contains
+// column-column equalities across the two sides, the right rows are hashed
+// on them (built at the first probe, which fixes the left columns) and the
+// remaining conjuncts are checked per candidate pair; otherwise every pair
+// is tested (nested loops).
+type JoinTable struct {
+	j        *Join
+	r        *tab.Tab
+	built    bool
+	cols     map[string]int
+	lKeys    []int
+	residual Expr
+	buckets  map[string][]tab.Row
+}
+
+func (b *JoinTable) build(lcols []string) {
+	b.built = true
+	b.cols = colIndex(b.j.Columns())
+	var rKeys []int
 	var rest []Expr
-	lIdx, rIdx := colIndex(l.Cols), colIndex(r.Cols)
-	for _, c := range SplitConj(j.Pred) {
-		if a, b, ok := EqColumns(c); ok {
-			if li, lok := lIdx[a]; lok {
-				if ri, rok := rIdx[b]; rok {
-					lKeys = append(lKeys, li)
+	lIdx, rIdx := colIndex(lcols), colIndex(b.r.Cols)
+	for _, c := range SplitConj(b.j.Pred) {
+		if x, y, ok := EqColumns(c); ok {
+			if li, lok := lIdx[x]; lok {
+				if ri, rok := rIdx[y]; rok {
+					b.lKeys = append(b.lKeys, li)
 					rKeys = append(rKeys, ri)
 					continue
 				}
 			}
-			if li, lok := lIdx[b]; lok {
-				if ri, rok := rIdx[a]; rok {
-					lKeys = append(lKeys, li)
+			if li, lok := lIdx[y]; lok {
+				if ri, rok := rIdx[x]; rok {
+					b.lKeys = append(b.lKeys, li)
 					rKeys = append(rKeys, ri)
 					continue
 				}
@@ -588,46 +593,46 @@ func (j *Join) Eval(ctx *Context) (*tab.Tab, error) {
 		}
 		rest = append(rest, c)
 	}
-	residual := Conj(rest...)
-	emit := func(lr, rr tab.Row) error {
-		row := append(lr.Clone(), rr...)
-		ok, err := truth(residual, ctx, cols, row)
-		if err != nil {
-			return fmt.Errorf("join: %w", err)
-		}
-		if ok {
-			out.Rows = append(out.Rows, row)
-		}
-		return nil
+	b.residual = Conj(rest...)
+	if len(rKeys) == 0 {
+		return
 	}
-	if len(lKeys) > 0 {
-		buckets := make(map[string][]tab.Row, len(r.Rows))
-		for _, rr := range r.Rows {
-			var b strings.Builder
-			for _, k := range rKeys {
-				b.WriteString(rr[k].Key())
-				b.WriteByte('\x00')
-			}
-			buckets[b.String()] = append(buckets[b.String()], rr)
-		}
-		for _, lr := range l.Rows {
-			var b strings.Builder
-			for _, k := range lKeys {
-				b.WriteString(lr[k].Key())
-				b.WriteByte('\x00')
-			}
-			for _, rr := range buckets[b.String()] {
-				if err := emit(lr, rr); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
+	b.buckets = make(map[string][]tab.Row, len(b.r.Rows))
+	for _, rr := range b.r.Rows {
+		k := joinKey(rr, rKeys)
+		b.buckets[k] = append(b.buckets[k], rr)
 	}
+}
+
+func joinKey(r tab.Row, keys []int) string {
+	var sb strings.Builder
+	for _, k := range keys {
+		sb.WriteString(r[k].Key())
+		sb.WriteByte('\x00')
+	}
+	return sb.String()
+}
+
+// Probe joins one chunk of left rows with the build side, in left-row
+// order (and build-row order within one left row).
+func (b *JoinTable) Probe(ctx *Context, l *tab.Tab) (*tab.Tab, error) {
+	if !b.built {
+		b.build(l.Cols)
+	}
+	out := tab.New(b.j.Columns()...)
 	for _, lr := range l.Rows {
-		for _, rr := range r.Rows {
-			if err := emit(lr, rr); err != nil {
-				return nil, err
+		cand := b.r.Rows
+		if b.buckets != nil {
+			cand = b.buckets[joinKey(lr, b.lKeys)]
+		}
+		for _, rr := range cand {
+			row := append(lr.Clone(), rr...)
+			ok, err := truth(b.residual, ctx, b.cols, row)
+			if err != nil {
+				return nil, fmt.Errorf("join: %w", err)
+			}
+			if ok {
+				out.Rows = append(out.Rows, row)
 			}
 		}
 	}
@@ -636,13 +641,13 @@ func (j *Join) Eval(ctx *Context) (*tab.Tab, error) {
 
 // DJoin is the dependency join: the right-hand plan is evaluated with the
 // left rows' columns available as parameters (the "information passing" of
-// Section 5.3 and the Bind-split of Figure 7). Evaluation is set-at-a-time:
-// outer rows are deduplicated to distinct binding sets over the inner
-// plan's free variables, each set is evaluated once — through one batched
-// push per chunk when the inner plan is a SourceQuery over a BatchSource —
-// and the results are re-expanded per outer row, so the output is row for
-// row what one-evaluation-per-row produces (Context.PerRowDJoin restores
-// that baseline).
+// Section 5.3 and the Bind-split of Figure 7). Evaluation is set-at-a-time
+// (DJoinSet): each bite of outer rows is deduplicated to distinct binding
+// sets over the inner plan's free variables, each set is evaluated once —
+// through one batched push per chunk when the inner plan is a SourceQuery
+// over a BatchSource — and the results are re-expanded per outer row, so
+// the output is row for row what one-evaluation-per-row produces
+// (Context.PerRowDJoin restores that baseline).
 type DJoin struct {
 	L, R Op
 
@@ -666,66 +671,6 @@ func (j *DJoin) Children() []Op { return []Op{j.L, j.R} }
 // Detail implements Op.
 func (j *DJoin) Detail() string { return "DJoin" }
 
-// Eval implements Op.
-func (j *DJoin) Eval(ctx *Context) (*tab.Tab, error) {
-	l, err := EvalOp(j.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.PerRowDJoin {
-		return j.evalPerRow(ctx, l)
-	}
-	set := NewDJoinSet(ctx, j, l)
-	if set.Batchable() {
-		chunks, err := set.PendingChunks(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for _, chunk := range chunks {
-			if err := set.EvalChunk(ctx, chunk); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i := range set.Bindings.Sets {
-			err := set.EvalSet(ctx, i, j.R, func(c *Context, op Op) (*tab.Tab, error) {
-				return EvalOp(op, c)
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return set.Expand(l, j.Columns()), nil
-}
-
-// evalPerRow is the pre-batching baseline: one inner evaluation per outer
-// row with the full row bound as parameters.
-func (j *DJoin) evalPerRow(ctx *Context, l *tab.Tab) (*tab.Tab, error) {
-	out := tab.New(j.Columns()...)
-	for _, lr := range l.Rows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// A fresh map per row: reusing one map across rows races with any
-		// concurrent reader of a previous row's bindings (the parallel
-		// DJoin fan-out of internal/exec reads them while this loop would
-		// be rewriting the shared map).
-		params := make(map[string]tab.Cell, len(l.Cols))
-		for i, c := range l.Cols {
-			params[c] = lr[i]
-		}
-		sub, err := EvalOp(j.R, ctx.WithParams(params))
-		if err != nil {
-			return nil, err
-		}
-		for _, rr := range sub.Rows {
-			out.AddRow(append(lr.Clone(), rr...))
-		}
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------------
 // Union, Intersect, Distinct
 // ---------------------------------------------------------------------------
@@ -742,24 +687,6 @@ func (u *Union) Children() []Op { return []Op{u.L, u.R} }
 // Detail implements Op.
 func (u *Union) Detail() string { return "Union" }
 
-// Eval implements Op.
-func (u *Union) Eval(ctx *Context) (*tab.Tab, error) {
-	l, err := EvalOp(u.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := EvalOp(u.R, ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := tab.New(l.Cols...)
-	out.Rows = append(append(out.Rows, l.Rows...), r.Rows...)
-	if len(r.Cols) != len(l.Cols) {
-		return nil, fmt.Errorf("algebra: union of incompatible tabs %v / %v", l.Cols, r.Cols)
-	}
-	return out, nil
-}
-
 // Intersect keeps the distinct rows present in both inputs.
 type Intersect struct{ L, R Op }
 
@@ -772,16 +699,8 @@ func (i *Intersect) Children() []Op { return []Op{i.L, i.R} }
 // Detail implements Op.
 func (i *Intersect) Detail() string { return "Intersect" }
 
-// Eval implements Op.
-func (i *Intersect) Eval(ctx *Context) (*tab.Tab, error) {
-	l, err := EvalOp(i.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := EvalOp(i.R, ctx)
-	if err != nil {
-		return nil, err
-	}
+// Apply intersects the two materialized inputs, keeping left order.
+func (i *Intersect) Apply(l, r *tab.Tab) (*tab.Tab, error) {
 	if len(r.Cols) != len(l.Cols) {
 		return nil, fmt.Errorf("algebra: intersect of incompatible tabs %v / %v", l.Cols, r.Cols)
 	}
@@ -813,15 +732,6 @@ func (d *Distinct) Children() []Op { return []Op{d.From} }
 // Detail implements Op.
 func (d *Distinct) Detail() string { return "Distinct" }
 
-// Eval implements Op.
-func (d *Distinct) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(d.From, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return in.Distinct(), nil
-}
-
 // ---------------------------------------------------------------------------
 // Group, Sort
 // ---------------------------------------------------------------------------
@@ -844,14 +754,8 @@ func (g *Group) Detail() string {
 	return fmt.Sprintf("Group(%s ⇒ %s)", strings.Join(g.Keys, ", "), g.Into)
 }
 
-// Eval implements Op.
-func (g *Group) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(g.From, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return in.GroupBy(g.Into, g.Keys...), nil
-}
+// Apply groups the materialized input.
+func (g *Group) Apply(in *tab.Tab) *tab.Tab { return in.GroupBy(g.Into, g.Keys...) }
 
 // Sort orders rows by the given columns.
 type Sort struct {
@@ -868,16 +772,13 @@ func (s *Sort) Children() []Op { return []Op{s.From} }
 // Detail implements Op.
 func (s *Sort) Detail() string { return fmt.Sprintf("Sort(%s)", strings.Join(s.Cols, ", ")) }
 
-// Eval implements Op.
-func (s *Sort) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(s.From, ctx)
-	if err != nil {
-		return nil, err
-	}
+// Apply returns the materialized input sorted (a copy; the input may be
+// shared).
+func (s *Sort) Apply(in *tab.Tab) *tab.Tab {
 	out := tab.New(in.Cols...)
 	out.Rows = append(out.Rows, in.Rows...)
 	out.SortBy(s.Cols...)
-	return out, nil
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -912,8 +813,10 @@ func (q *SourceQuery) Children() []Op { return []Op{q.Plan} }
 // Detail implements Op.
 func (q *SourceQuery) Detail() string { return fmt.Sprintf("SourceQuery(%s)", q.Source) }
 
-// Eval implements Op.
-func (q *SourceQuery) Eval(ctx *Context) (*tab.Tab, error) {
+// Load pushes the subplan to its source in one piece (the one-shot
+// protocol, for sources without PushStream) under the context's parameters,
+// answering from the result cache when it holds the same push.
+func (q *SourceQuery) Load(ctx *Context) (*tab.Tab, error) {
 	src, ok := ctx.Sources[q.Source]
 	if !ok {
 		return nil, fmt.Errorf("algebra: unknown source %q", q.Source)
@@ -982,9 +885,6 @@ func (l *Literal) Children() []Op { return nil }
 
 // Detail implements Op.
 func (l *Literal) Detail() string { return fmt.Sprintf("Literal(%d rows)", l.T.Len()) }
-
-// Eval implements Op.
-func (l *Literal) Eval(*Context) (*tab.Tab, error) { return l.T, nil }
 
 func colIndex(cols []string) map[string]int {
 	m := make(map[string]int, len(cols))

@@ -12,7 +12,6 @@ import (
 	"io"
 
 	"repro/internal/data"
-	"repro/internal/filter"
 	"repro/internal/obs"
 	"repro/internal/tab"
 )
@@ -169,10 +168,14 @@ func (c *Context) InputStream(name string) (ForestCursor, bool, error) {
 }
 
 // StreamDoc opens a streaming evaluation of a document Bind: trees arrive
-// in batches through InputStream and each batch is matched against the
-// filter as it lands, so neither the document nor the binding table is ever
-// whole in memory. Returns ok=false when b is not a document Bind or the
-// document cannot stream; callers fall back to Eval.
+// in batches through InputStream and are matched against the filter batch
+// by batch, so neither the document nor the binding table need be whole in
+// memory. Matching navigates references through the store, so a batch is
+// held back while any reference seen so far points at a tree that has not
+// arrived yet (an O₂ extent's root refers to objects shipped after it);
+// held batches are matched, in order, once every such reference resolves
+// or the document ends. Returns ok=false when b is not a document Bind or
+// the document cannot stream; callers fall back to Load.
 func (b *Bind) StreamDoc(ctx *Context) (tab.Cursor, bool, error) {
 	if b.Doc == "" {
 		return nil, false, nil
@@ -181,22 +184,48 @@ func (b *Bind) StreamDoc(ctx *Context) (tab.Cursor, bool, error) {
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	f := b.F
-	if f.Model == nil && ctx.Model != nil {
-		f = &filter.Filter{Root: f.Root, Model: ctx.Model}
+	f := b.filter(ctx)
+	var held data.Forest
+	dangling := map[string]bool{} // reference targets not in the store yet
+	match := func() *tab.Tab {
+		t := f.MatchForest(ctx.Store, held)
+		ctx.Stats.BindRows += t.Len()
+		held = nil
+		return t
 	}
 	// One tree can bind many rows (a single-rooted document binds them
 	// all): Rechunk restores the bounded-chunk invariant downstream.
 	return tab.Rechunk(&tab.FuncCursor{
 		Columns: b.Columns(),
 		NextFn: func() (*tab.Tab, error) {
-			forest, err := fc.Next()
-			if err != nil {
-				return nil, err
+			for {
+				forest, err := fc.Next()
+				if err == io.EOF && len(held) > 0 {
+					// A reference unresolved at the end dangles in the
+					// whole document too.
+					return match(), nil
+				}
+				if err != nil {
+					return nil, err
+				}
+				for id := range dangling {
+					if ctx.Store.Lookup(id) != nil {
+						delete(dangling, id)
+					}
+				}
+				for _, n := range forest {
+					n.Walk(func(m *data.Node) bool {
+						if m.IsRef() && ctx.Store.Lookup(m.Ref) == nil {
+							dangling[m.Ref] = true
+						}
+						return true
+					})
+				}
+				held = append(held, forest...)
+				if len(dangling) == 0 {
+					return match(), nil
+				}
 			}
-			t := f.MatchForest(ctx.Store, forest)
-			ctx.Stats.BindRows += t.Len()
-			return t, nil
 		},
 		CloseFn: fc.Close,
 	}, tab.DefaultStreamChunk), true, nil
@@ -205,12 +234,13 @@ func (b *Bind) StreamDoc(ctx *Context) (tab.Cursor, bool, error) {
 // Stream opens a streaming evaluation of a pushed subplan when the
 // connected source implements PushStreamSource. A result-cache hit is
 // answered locally (chunked over the cached table); a miss streams from the
-// source — streamed results are never written back to the cache, because a
-// partially consumed stream must not poison it. Returns ok=false when the
-// source cannot stream; callers fall back to Eval (which keeps the one-shot
-// protocol and its cache fills). Accounting matches Eval: one SourcePushes
-// per opened stream, TuplesShipped/BytesShipped per chunk as it arrives,
-// CheckWire applied to every chunk before it is released downstream.
+// source, and with a cache installed the chunks are collected as they pass
+// and the whole result is cached at clean end of stream — never on error
+// or abandon, so a partially consumed stream cannot poison the cache.
+// Returns ok=false when the source cannot stream; callers fall back to
+// Load. Accounting matches Load: one SourcePushes per opened stream,
+// TuplesShipped/BytesShipped per chunk as it arrives, CheckWire applied to
+// every chunk before it is released downstream.
 func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, bool, error) {
 	src, ok := ctx.Sources[q.Source]
 	if !ok {
@@ -223,9 +253,10 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
+	var key string
 	if ctx.Cache != nil {
 		if p := q.Prepared(); p.Enc != "" {
-			key := CacheKey(q.Source, p.Enc, ParamsKey(p.Vars, ctx.Params))
+			key = CacheKey(q.Source, p.Enc, ParamsKey(p.Vars, ctx.Params))
 			if t, ok := ctx.Cache.Get(key); ok {
 				ctx.Stats.CacheHits++
 				traceCounts(ctx, obs.Counts{CacheHits: 1})
@@ -257,6 +288,10 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, bool, error) {
 			drainRetryStats(ctx, src)
 		}
 	}
+	var fill *tab.Tab // the result so far, cached at clean EOF
+	if key != "" {
+		fill = tab.New(cur.Cols()...)
+	}
 	return &tab.FuncCursor{
 		Columns: cur.Cols(),
 		NextFn: func() (*tab.Tab, error) {
@@ -264,7 +299,13 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, bool, error) {
 			if err != nil {
 				fin()
 				if err != io.EOF {
-					err = fmt.Errorf("source %s: %w", q.Source, err)
+					return nil, fmt.Errorf("source %s: %w", q.Source, err)
+				}
+				if fill != nil {
+					if ctx.Cache.Put(key, fill) {
+						ctx.Stats.CacheEvictions++
+					}
+					fill = nil
 				}
 				return nil, err
 			}
@@ -273,13 +314,18 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, bool, error) {
 				// Validate each chunk the moment it arrives, mirroring the
 				// before-return check of the one-shot path.
 				if cerr := ctx.CheckWire(q, t); cerr != nil {
+					fill = nil
 					cur.Close()
 					return nil, cerr
 				}
 			}
+			if fill != nil {
+				fill.Rows = append(fill.Rows, t.Rows...)
+			}
 			return t, nil
 		},
 		CloseFn: func() error {
+			fill = nil
 			fin()
 			return cur.Close()
 		},

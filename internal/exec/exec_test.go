@@ -1,12 +1,12 @@
 package exec_test
 
-// The engine's contract is equality with serial evaluation: same rows, same
-// order, same statistics — only faster against network sources. The tests
-// run parallel plans against live wire wrappers (real TCP, real XML frames)
-// and compare row for row with the recursive Eval; the cancellation test
-// parks a wrapper forever and demands a prompt deadline error. All of this
-// is meant to run under -race: the engine, the wire client pool and the
-// wrappers share every code path the mediator uses.
+// The engine's contract is that parallelism changes nothing observable: same
+// rows, same order, same statistics as a serial engine — only faster against
+// network sources. The tests run parallel plans against live wire wrappers
+// (real TCP, real XML frames) and compare row for row with the serial
+// engine; the cancellation tests park a wrapper forever and demand a prompt
+// deadline error. All of this is meant to run under -race: the engine, the
+// wire client pool and the wrappers share every code path the mediator uses.
 
 import (
 	"context"
@@ -76,18 +76,27 @@ func o2TitlePrice() algebra.Op {
 		`set[ *class[ artifact.tuple[ title: $t2, price: $p ] ] ]`)}
 }
 
-// runBoth evaluates the plan serially (the algebra's own Eval) and on a
-// parallel engine, asserting identical rows in identical order and
-// identical source-push accounting.
+// run drains one evaluation of plan on an engine with the given options.
+func run(ctx context.Context, opts exec.Options, plan algebra.Op, actx *algebra.Context) (*tab.Tab, error) {
+	cur, err := exec.New(opts).Stream(ctx, plan, actx)
+	if err != nil {
+		return nil, err
+	}
+	return tab.Drain(cur)
+}
+
+// runBoth evaluates the plan on a serial engine and on one configured by
+// opts, asserting identical rows in identical order and identical source
+// accounting.
 func runBoth(t *testing.T, plan algebra.Op, mk func() *algebra.Context, opts exec.Options) {
 	t.Helper()
 	sctx := mk()
-	serial, err := plan.Eval(sctx)
+	serial, err := exec.Collect(plan, sctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pctx := mk()
-	par, err := exec.New(opts).Run(context.Background(), plan, pctx)
+	par, err := run(context.Background(), opts, plan, pctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +186,7 @@ func TestTimeoutCancelsStuckWrapper(t *testing.T) {
 	plan := &algebra.SourceQuery{Source: "stuck",
 		Plan: &algebra.Bind{Doc: "pit", F: filter.MustParse(`pit@$x`)}}
 	start := time.Now()
-	_, err = exec.New(exec.Options{Parallelism: 4, Timeout: 200 * time.Millisecond}).
-		Run(context.Background(), plan, ctx)
+	_, err = run(context.Background(), exec.Options{Parallelism: 4, Timeout: 200 * time.Millisecond}, plan, ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -218,15 +226,15 @@ func TestCancelPropagatesToFanOut(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(100 * time.Millisecond); cancel() }()
-	_, err = exec.New(exec.Options{Parallelism: 4}).Run(ctx, plan, actx)
+	_, err = run(ctx, exec.Options{Parallelism: 4}, plan, actx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestSerialEngineIsPlainEval(t *testing.T) {
-	// Parallelism 1 must follow the exact serial path, skolem minting and
-	// all: a Tree-constructing plan is the strictest order witness.
+	// Parallelism 1 is the plain serial path, skolem minting and all: a
+	// Tree-constructing plan is the strictest order witness.
 	w := datagen.Generate(datagen.DefaultParams(60))
 	mk := func() *algebra.Context {
 		ctx := algebra.NewContext()

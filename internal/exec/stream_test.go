@@ -1,8 +1,7 @@
 package exec_test
 
-// The streaming engine's contract mirrors the parallel engine's: same rows
-// as serial evaluation, order-identical when streaming serially, bag-equal
-// when parallel Union interleaves child chunks. These tests drain the
+// Streaming fidelity: draining the cursor chunk by chunk yields the rows of
+// a serial drain, in order, at every parallelism. These tests drain the
 // cursor over live wire wrappers so the chunked framing, the conn pinning
 // and the pull-driven wrapper calls all run under -race.
 
@@ -16,39 +15,6 @@ import (
 	"repro/internal/tab"
 )
 
-// streamBoth evaluates the plan serially (materialized Eval) and by
-// draining the streaming engine, asserting row fidelity. ordered demands
-// byte-identical row order (the serial-stream guarantee); interleaving
-// paths assert bag equality.
-func streamBoth(t *testing.T, plan algebra.Op, mk func() *algebra.Context, opts exec.Options, ordered bool) {
-	t.Helper()
-	sctx := mk()
-	serial, err := plan.Eval(sctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() == 0 {
-		t.Fatal("empty fixture: the comparison is vacuous")
-	}
-	cur, err := exec.New(opts).Stream(context.Background(), plan, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tab.Drain(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ordered {
-		if !serial.Equal(got) {
-			t.Fatalf("streamed rows diverge from serial:\nserial (%d rows):\n%s\nstreamed (%d rows):\n%s",
-				serial.Len(), serial, got.Len(), got)
-		}
-	} else if !serial.EqualUnordered(got) {
-		t.Fatalf("streamed rows are not the serial bag:\nserial (%d rows):\n%s\nstreamed (%d rows):\n%s",
-			serial.Len(), serial, got.Len(), got)
-	}
-}
-
 func TestStreamDJoinWire(t *testing.T) {
 	w := datagen.Generate(datagen.DefaultParams(120))
 	ctx := serveWrappers(t, w)
@@ -58,8 +24,8 @@ func TestStreamDJoinWire(t *testing.T) {
 		R: &algebra.SourceQuery{Source: "o2artifact",
 			Plan: &algebra.Select{From: o2TitlePrice(), Pred: algebra.MustParseExpr(`$t2 = $t`)}},
 	}
-	streamBoth(t, plan, mk, exec.Options{Parallelism: 1}, true)
-	streamBoth(t, plan, mk, exec.Options{Parallelism: 8, FanOut: 2}, true)
+	runBoth(t, plan, mk, exec.Options{Parallelism: 1})
+	runBoth(t, plan, mk, exec.Options{Parallelism: 8, FanOut: 2})
 }
 
 func TestStreamJoinAndUnionWire(t *testing.T) {
@@ -71,18 +37,18 @@ func TestStreamJoinAndUnionWire(t *testing.T) {
 		R:    &algebra.SourceQuery{Source: "o2artifact", Plan: o2TitlePrice()},
 		Pred: algebra.MustParseExpr(`$t = $t2`),
 	}
-	streamBoth(t, join, mk, exec.Options{Parallelism: 1}, true)
-	streamBoth(t, join, mk, exec.Options{Parallelism: 4}, true)
+	runBoth(t, join, mk, exec.Options{Parallelism: 1})
+	runBoth(t, join, mk, exec.Options{Parallelism: 4})
 	union := &algebra.Union{
 		L: &algebra.SourceQuery{Source: "o2artifact",
 			Plan: &algebra.Select{From: o2TitlePrice(), Pred: algebra.MustParseExpr(`$p < 100000`)}},
 		R: &algebra.SourceQuery{Source: "o2artifact",
 			Plan: &algebra.Select{From: o2TitlePrice(), Pred: algebra.MustParseExpr(`$p >= 100000`)}},
 	}
-	// Serial streaming keeps union order (left branch then right); the
-	// parallel engine interleaves child chunks, so only the bag is fixed.
-	streamBoth(t, union, mk, exec.Options{Parallelism: 1}, true)
-	streamBoth(t, union, mk, exec.Options{Parallelism: 4}, false)
+	// Union plays left branch then right at any parallelism (the parallel
+	// engine prefetches the right branch meanwhile).
+	runBoth(t, union, mk, exec.Options{Parallelism: 1})
+	runBoth(t, union, mk, exec.Options{Parallelism: 4})
 }
 
 func TestStreamOperatorsOverWire(t *testing.T) {
@@ -97,8 +63,8 @@ func TestStreamOperatorsOverWire(t *testing.T) {
 			From: &algebra.Select{From: o2TitlePrice(), Pred: algebra.MustParseExpr(`$p >= 0`)},
 		},
 	}
-	streamBoth(t, plan, mk, exec.Options{Parallelism: 1}, true)
-	streamBoth(t, plan, mk, exec.Options{Parallelism: 4}, true)
+	runBoth(t, plan, mk, exec.Options{Parallelism: 1})
+	runBoth(t, plan, mk, exec.Options{Parallelism: 4})
 }
 
 func TestStreamFirstChunkBeforeEOF(t *testing.T) {
@@ -132,28 +98,42 @@ func TestStreamFirstChunkBeforeEOF(t *testing.T) {
 func TestStreamCloseEarlyReleasesPipeline(t *testing.T) {
 	// Abandoning a cursor mid-stream must not wedge anything: a later query
 	// on the same wire clients still works (the pinned stream conn was
-	// discarded or released, not leaked in a bad state).
+	// discarded or released, not leaked in a bad state). The parallel case
+	// abandons a Union whose right branch is being prefetched and never
+	// reached: Close must stop that worker too.
 	w := datagen.Generate(datagen.DefaultParams(400))
 	ctx := serveWrappers(t, w)
-	c := *ctx
-	c.Stats = &algebra.Stats{}
-	cur, err := exec.New(exec.Options{Parallelism: 1}).Stream(context.Background(), o2TitlePrice(), &c)
-	if err != nil {
-		t.Fatal(err)
+	union := &algebra.Union{
+		L: &algebra.SourceQuery{Source: "o2artifact", Plan: o2TitlePrice()},
+		R: &algebra.SourceQuery{Source: "o2artifact", Plan: o2TitlePrice()},
 	}
-	if _, err := cur.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c2 := *ctx
-	c2.Stats = &algebra.Stats{}
-	res, err := exec.New(exec.Options{Parallelism: 1}).Run(context.Background(), o2TitlePrice(), &c2)
-	if err != nil {
-		t.Fatalf("query after abandoned stream: %v", err)
-	}
-	if res.Len() == 0 {
-		t.Fatal("query after abandoned stream returned no rows")
+	for _, tc := range []struct {
+		plan algebra.Op
+		opts exec.Options
+	}{
+		{o2TitlePrice(), exec.Options{Parallelism: 1}},
+		{union, exec.Options{Parallelism: 4}},
+	} {
+		c := *ctx
+		c.Stats = &algebra.Stats{}
+		cur, err := exec.New(tc.opts).Stream(context.Background(), tc.plan, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cur.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c2 := *ctx
+		c2.Stats = &algebra.Stats{}
+		res, err := exec.Collect(o2TitlePrice(), &c2)
+		if err != nil {
+			t.Fatalf("query after abandoned stream: %v", err)
+		}
+		if res.Len() == 0 {
+			t.Fatal("query after abandoned stream returned no rows")
+		}
 	}
 }

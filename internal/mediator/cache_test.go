@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/tab"
 )
 
 // TestWarmCacheSkipsPushes is the mediator-level cache contract: with
@@ -39,6 +40,31 @@ func TestWarmCacheSkipsPushes(t *testing.T) {
 	}
 	if warm.Stats.SourcePushes != 0 {
 		t.Errorf("warm run still pushed %d times", warm.Stats.SourcePushes)
+	}
+
+	// The same contract through StreamContext (the front door's path):
+	// streamed pushes fill the cache at clean end of stream, so the warm
+	// streamed run pushes nothing either.
+	ms, _, _ := paperSetup(t)
+	ms.Assume("artifacts", "works", "$y > 1800")
+	ms.Assume("persons", "works", "$y > 1800")
+	var rows [2]*tab.Tab
+	var res [2]*Result
+	for i := range rows {
+		s, err := ms.StreamContext(context.Background(), datagen.Q2Src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i], res[i] = drainStream(t, s)
+	}
+	if res[0].Stats.SourcePushes == 0 || res[0].Stats.CacheHits != 0 {
+		t.Errorf("cold streamed run: %+v", res[0].Stats)
+	}
+	if !rows[0].Equal(rows[1]) || !rows[0].Equal(cold.Tab) {
+		t.Errorf("warm streamed rows diverge:\ncold:\n%s\nwarm:\n%s", rows[0], rows[1])
+	}
+	if res[1].Stats.CacheHits == 0 || res[1].Stats.SourcePushes != 0 {
+		t.Errorf("warm streamed run: hits=%d pushes=%d, want >0 and 0", res[1].Stats.CacheHits, res[1].Stats.SourcePushes)
 	}
 
 	// Without CacheSize no cache is installed and the counters stay silent.

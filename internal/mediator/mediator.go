@@ -555,44 +555,46 @@ func (m *Mediator) recordQuery(d time.Duration, stats algebra.Stats, err error) 
 	}
 }
 
-// Query composes, optimizes and executes a YAT_L query.
+// Query composes, optimizes and executes a YAT_L query serially.
 func (m *Mediator) Query(querySrc string) (*Result, error) {
-	naive, err := m.Compose(querySrc)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := optimizer.New(m.optimizerOptions()).OptimizeChecked(naive)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.lintBeforeExec("optimized", opt); err != nil {
-		return nil, err
-	}
-	ctx := m.newContext()
-	start := time.Now()
-	t, err := opt.Eval(ctx)
-	m.recordQuery(time.Since(start), *ctx.Stats, err)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Tab:       t,
-		NaivePlan: algebra.Describe(naive),
-		Plan:      algebra.Describe(opt),
-		Stats:     *ctx.Stats,
-	}, nil
+	return m.ExecuteContext(context.Background(), querySrc, serial)
 }
 
-// ExecOptions configure plan execution for ExecuteContext: Parallelism
-// bounds the worker pool (1 = serial, the exact behaviour of Query), FanOut
-// bounds one DJoin's in-flight sub-queries, Timeout is the per-query
-// deadline, BatchChunk sizes batched DJoin pushes, PerRowDJoin restores the
-// one-push-per-row baseline, CacheSize installs a shared wrapper-result
-// cache (kept warm across queries), Trace collects a per-operator span
-// tree returned in Result.Trace, and Stream/StreamBuffer route execution
-// through the chunked pipeline (StreamContext drained to a table).
-// Non-positive BatchChunk or StreamBuffer values are rejected up front by
-// Validate, which every mediator entry point calls.
+// plan composes and optimizes a query — tune, when non-nil, adjusts the
+// optimizer configuration — and passes the result through the
+// pre-execution lint gate.
+func (m *Mediator) plan(querySrc string, tune func(*optimizer.Options)) (naive, opt algebra.Op, err error) {
+	naive, err = m.Compose(querySrc)
+	if err != nil {
+		return nil, nil, err
+	}
+	oo := m.optimizerOptions()
+	if tune != nil {
+		tune(&oo)
+	}
+	opt, err = optimizer.New(oo).OptimizeChecked(naive)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.lintBeforeExec("optimized", opt); err != nil {
+		return nil, nil, err
+	}
+	return naive, opt, nil
+}
+
+// ExecOptions configure query execution (ExecuteContext, ExecutePlan,
+// StreamContext, StreamPlan): Parallelism bounds the query's worker pool
+// (1 = serial, the configuration of Query; rows and statistics are the same
+// at every value), FanOut bounds one DJoin's in-flight sub-queries, Timeout
+// is the per-query deadline, BatchChunk sizes batched DJoin pushes,
+// PerRowDJoin restores the one-push-per-row baseline, CacheSize installs a
+// shared wrapper-result cache (kept warm across queries), AllowPartial
+// degrades unreachable sources to empty inputs, Trace collects a
+// per-operator span tree returned in Result.Trace, StreamBuffer bounds the
+// rows buffered ahead of a Stream's consumer, and CheckTypes validates
+// wrapper rows against the inferred plan types. Negative BatchChunk or
+// StreamBuffer values are rejected up front by Validate, which every
+// options-taking entry point calls.
 type ExecOptions = exec.Options
 
 // typecheckConfig builds the inference configuration from the imported
@@ -665,61 +667,28 @@ func (m *Mediator) installWireChecker(actx *algebra.Context, plan algebra.Op, op
 	}
 }
 
-// ExecuteContext composes, optimizes and executes a YAT_L query on the
-// parallel execution engine of internal/exec, under a cancellation context
-// and the given execution options. With Parallelism=1 it returns exactly
-// what Query returns (the serial path stays available so experiment
-// baselines remain comparable); with Parallelism>1, independent subplans
-// and DJoin sub-queries evaluate concurrently, with identical result rows
-// and identical statistics.
+// ExecuteContext composes, optimizes and executes a query under a
+// cancellation context and the given execution options, returning the
+// whole result: StreamContext drained to a table.
 func (m *Mediator) ExecuteContext(ctx context.Context, querySrc string, opts ExecOptions) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Stream {
-		// The streamed pipeline is the same path drained to a table: byte-
-		// identical rows, bounded intermediate memory.
-		return m.executeStreamed(ctx, querySrc, opts)
-	}
-	if opts.CacheSize > 0 {
-		m.ensureCache(opts.CacheSize)
-	}
-	naive, err := m.Compose(querySrc)
+	return collect(m.StreamContext(ctx, querySrc, opts))
+}
+
+// collect drains a stream into Result.Tab — the one bridge from the
+// streaming engine to the entry points that return a whole table.
+func collect(s *Stream, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, err := optimizer.New(m.optimizerOptions()).OptimizeChecked(naive)
+	out := tab.New(s.Cols()...)
+	for t := range s.Chunks() {
+		out.Rows = append(out.Rows, t.Rows...)
+	}
+	res, err := s.Result()
 	if err != nil {
 		return nil, err
 	}
-	if err := m.lintBeforeExec("optimized", opt); err != nil {
-		return nil, err
-	}
-	actx := m.newContext()
-	if opts.AllowPartial {
-		// Pre-attach the report: Run operates on a shallow copy of the
-		// context, so a report it creates itself would be unreadable here.
-		actx.Partial = algebra.NewPartialReport()
-	}
-	m.installWireChecker(actx, opt, opts)
-	root := m.attachTrace(actx, opts)
-	start := time.Now()
-	t, err := exec.New(opts).Run(ctx, opt, actx)
-	finishTrace(root, t, err)
-	m.recordQuery(time.Since(start), *actx.Stats, err)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Tab:       t,
-		NaivePlan: algebra.Describe(naive),
-		Plan:      algebra.Describe(opt),
-		Stats:     *actx.Stats,
-		Trace:     root,
-	}
-	if actx.Partial != nil {
-		res.SourceErrors = actx.Partial.Failures()
-	}
+	res.Tab = out
 	return res, nil
 }
 
@@ -734,90 +703,29 @@ func (m *Mediator) attachTrace(actx *algebra.Context, opts ExecOptions) *obs.Spa
 	return root
 }
 
-// finishTrace closes a query's root span (no-op for untraced runs).
-func finishTrace(root *obs.Span, t *tab.Tab, err error) {
-	if root == nil {
-		return
-	}
-	rows := -1
-	if t != nil {
-		rows = t.Len()
-	}
-	root.Finish(rows, err)
-}
-
-// ExecutePlan executes an already-built algebra plan on the execution
-// engine, under the mediator's catalog, guards and (with CheckInvariants)
-// the planlint gate. It serves callers that assemble plans outside the
+// ExecutePlan executes an already-built algebra plan under the mediator's
+// catalog, guards and (with CheckInvariants) the planlint gate: StreamPlan
+// drained to a table. It serves callers that assemble plans outside the
 // YAT_L pipeline — tests exercising degradation shapes, or tools replaying
 // optimizer output — with the same health tracking and partial-result
 // reporting as ExecuteContext.
 func (m *Mediator) ExecutePlan(ctx context.Context, plan algebra.Op, opts ExecOptions) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.CacheSize > 0 {
-		m.ensureCache(opts.CacheSize)
-	}
-	if err := m.lintBeforeExec("custom", plan); err != nil {
-		return nil, err
-	}
-	actx := m.newContext()
-	if opts.AllowPartial {
-		actx.Partial = algebra.NewPartialReport()
-	}
-	m.installWireChecker(actx, plan, opts)
-	root := m.attachTrace(actx, opts)
-	start := time.Now()
-	t, err := exec.New(opts).Run(ctx, plan, actx)
-	finishTrace(root, t, err)
-	m.recordQuery(time.Since(start), *actx.Stats, err)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Tab:   t,
-		Plan:  algebra.Describe(plan),
-		Stats: *actx.Stats,
-		Trace: root,
-	}
-	if actx.Partial != nil {
-		res.SourceErrors = actx.Partial.Failures()
-	}
-	return res, nil
+	return collect(m.StreamPlan(ctx, plan, opts))
 }
 
-// QueryCustom composes and executes a query with a tuned optimizer
-// configuration; tune may flip the ablation switches (used by the
+// QueryCustom composes and executes a query serially with a tuned
+// optimizer configuration; tune may flip the ablation switches (used by the
 // EXPERIMENTS.md driver to isolate the contribution of each round).
 func (m *Mediator) QueryCustom(querySrc string, tune func(*optimizer.Options)) (*Result, error) {
-	naive, err := m.Compose(querySrc)
+	naive, opt, err := m.plan(querySrc, tune)
 	if err != nil {
 		return nil, err
 	}
-	opts := m.optimizerOptions()
-	if tune != nil {
-		tune(&opts)
-	}
-	opt, err := optimizer.New(opts).OptimizeChecked(naive)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.lintBeforeExec("optimized", opt); err != nil {
-		return nil, err
-	}
-	ctx := m.newContext()
-	t, err := opt.Eval(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Tab:       t,
-		NaivePlan: algebra.Describe(naive),
-		Plan:      algebra.Describe(opt),
-		Stats:     *ctx.Stats,
-	}, nil
+	return collect(m.streamPlan(context.Background(), m.newContext(), naive, opt, serial))
 }
+
+// serial is the execution configuration of the option-less entry points.
+var serial = ExecOptions{Parallelism: 1}
 
 // QueryNaive composes and executes a query without optimization: the view
 // is materialized and the query evaluated on the result (the naive strategy
@@ -830,17 +738,20 @@ func (m *Mediator) QueryNaive(querySrc string) (*Result, error) {
 	if err := m.lintBeforeExec("naive", naive); err != nil {
 		return nil, err
 	}
-	ctx := m.newContext()
-	t, err := naive.Eval(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Tab: t, NaivePlan: algebra.Describe(naive), Plan: algebra.Describe(naive), Stats: *ctx.Stats}, nil
+	return collect(m.streamPlan(context.Background(), m.newContext(), naive, naive, serial))
 }
 
 // Materialize evaluates a view and returns its document forest (used by
 // examples to display the integrated XML).
 func (m *Mediator) Materialize(view string) (*tab.Tab, error) {
+	res, err := m.materialize(view, m.newContext())
+	if err != nil {
+		return nil, err
+	}
+	return res.Tab, nil
+}
+
+func (m *Mediator) materialize(view string, actx *algebra.Context) (*Result, error) {
 	v := m.View(view)
 	if v == nil {
 		return nil, fmt.Errorf("mediator: unknown view %q", view)
@@ -849,7 +760,7 @@ func (m *Mediator) Materialize(view string) (*tab.Tab, error) {
 	if err != nil {
 		return nil, err
 	}
-	return plan.Eval(m.newContext())
+	return collect(m.streamPlan(context.Background(), actx, nil, plan, serial))
 }
 
 // MaterializeProgram evaluates every registered view within one shared
@@ -860,27 +771,23 @@ func (m *Mediator) Materialize(view string) (*tab.Tab, error) {
 // Skolem function and arguments. It returns one forest per view plus the
 // store resolving every identifier minted during materialization.
 func (m *Mediator) MaterializeProgram() (map[string]data.Forest, *data.Store, error) {
-	ctx := m.newContext()
+	actx := m.newContext()
 	out := map[string]data.Forest{}
 	for _, name := range m.Views() {
-		plan, err := m.substituteViews(m.View(name).Plan, 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		t, err := plan.Eval(ctx)
+		res, err := m.materialize(name, actx)
 		if err != nil {
 			return nil, nil, fmt.Errorf("view %s: %w", name, err)
 		}
 		var forest data.Forest
-		for _, r := range t.Rows {
+		for _, r := range res.Tab.Rows {
 			if r[0].Kind == tab.CTree {
 				forest = append(forest, r[0].Tree)
 			}
 		}
 		out[name] = forest
-		ctx.Catalog[name] = forest
+		actx.Catalog[name] = forest
 	}
-	return out, ctx.Store, nil
+	return out, actx.Store, nil
 }
 
 // Describe renders a summary of the mediator's state (console `status`).

@@ -250,6 +250,31 @@ func TestScaledWorkloadSemanticsPreserved(t *testing.T) {
 	}
 }
 
+// TestStreamedDocumentResolvesForwardReferences pins document Binds over a
+// streamed fetch: the O₂ artifacts extent is one root tree whose owners are
+// references to person objects shipped after it, beyond the first batch at
+// this size. Matching a batch before those objects arrive would drop every
+// artifact reached through them, so the naive plan (which fetches the
+// extent) must still answer exactly what the pushed plan answers.
+func TestStreamedDocumentResolvesForwardReferences(t *testing.T) {
+	p := datagen.DefaultParams(300)
+	p.Seed = 10
+	w := datagen.Generate(p)
+	m, _, _ := setup(t, w.DB, w.Works)
+	q := strings.Replace(datagen.Q2Src, "200000", "500000", 1)
+	naive, err := m.QueryNaive(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := m.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive.Tab.Len() == 0 || !naive.Tab.EqualUnordered(opt.Tab) {
+		t.Errorf("naive %d rows, optimized %d rows", naive.Tab.Len(), opt.Tab.Len())
+	}
+}
+
 func TestOptimizedTransfersLess(t *testing.T) {
 	w := datagen.Generate(datagen.DefaultParams(300))
 	m, _, _ := setup(t, w.DB, w.Works)

@@ -1,12 +1,14 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/o2"
+	"repro/internal/tab"
 )
 
 // randomArtworkQueries generates a deterministic family of n YAT_L queries
@@ -87,7 +89,12 @@ MATCH artworks WITH doc[ *%s ] %s`, workFilter, where)
 
 // TestRandomQueriesNaiveVsOptimized checks that for every generated query
 // the optimized evaluation returns exactly the rows of the naive strategy.
-// This is the optimizer's end-to-end semantics-preservation property.
+// This is the optimizer's end-to-end semantics-preservation property. The
+// same rows must come out of every execution path: the optimized plan
+// streamed serially and in parallel, and the naive plan streamed — which
+// pins the grouping Tree operators (a view's construction, a MAKE keyed on
+// a repeated value) to whole-input semantics however their input is
+// chunked.
 func TestRandomQueriesNaiveVsOptimized(t *testing.T) {
 	w := datagen.Generate(datagen.DefaultParams(120))
 	m, _, _ := setup(t, w.DB, w.Works)
@@ -108,10 +115,47 @@ func TestRandomQueriesNaiveVsOptimized(t *testing.T) {
 			t.Errorf("query %d: naive %d rows, optimized %d rows\n%s\nplan:\n%s",
 				i, naive.Tab.Len(), opt.Tab.Len(), query, opt.Plan)
 		}
+		for _, p := range []int{1, 4} {
+			streamed, err := drainQuery(m.StreamContext(context.Background(), query, ExecOptions{Parallelism: p}))
+			if err != nil {
+				t.Fatalf("query %d (streamed, parallelism %d): %v\n%s", i, p, err, query)
+			}
+			if !naive.Tab.EqualUnordered(streamed) {
+				t.Errorf("query %d: naive %d rows, streamed at parallelism %d %d rows\n%s",
+					i, naive.Tab.Len(), p, streamed.Len(), query)
+			}
+		}
+		plan, err := m.Compose(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamedNaive, err := drainQuery(m.StreamPlan(context.Background(), plan, ExecOptions{Parallelism: 1}))
+		if err != nil {
+			t.Fatalf("query %d (naive plan streamed): %v\n%s", i, err, query)
+		}
+		if !naive.Tab.EqualUnordered(streamedNaive) {
+			t.Errorf("query %d: naive %d rows, naive plan streamed %d rows\n%s",
+				i, naive.Tab.Len(), streamedNaive.Len(), query)
+		}
 	}
 	if len(queries) != 40 {
 		t.Fatalf("generated %d queries", len(queries))
 	}
+}
+
+// drainQuery collects a stream's rows.
+func drainQuery(s *Stream, err error) (*tab.Tab, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := tab.New(s.Cols()...)
+	for c := range s.Chunks() {
+		out.Rows = append(out.Rows, c.Rows...)
+	}
+	if _, err := s.Result(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func firstKey(m map[int]bool) int {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/optimizer"
 	"repro/internal/tab"
 )
 
@@ -75,14 +74,13 @@ func (s *Stream) Close() {
 	<-s.done
 }
 
-// StreamContext composes, optimizes and executes a query exactly like
-// ExecuteContext, but returns the result as a Stream instead of a
-// materialized table: chunks surface as the pipelined engine produces them,
-// peak memory is bounded by the chunk buffer (ExecOptions.StreamBuffer
-// rows; default 2×tab.DefaultStreamChunk), and the first row arrives long
-// before the last wrapper finishes. Retries, circuit breakers, AllowPartial
-// degradation, wire conformance checking, tracing and the result cache all
-// apply unchanged.
+// StreamContext composes, optimizes and executes a query, returning the
+// result as a Stream (ExecuteContext is this stream drained to a table):
+// chunks surface as the pipelined engine produces them, peak memory is
+// bounded by the chunk buffer (ExecOptions.StreamBuffer rows; default
+// 2×tab.DefaultStreamChunk), and the first row arrives long before the last
+// wrapper finishes. Retries, circuit breakers, AllowPartial degradation,
+// wire conformance checking, tracing and the result cache all apply.
 func (m *Mediator) StreamContext(ctx context.Context, querySrc string, opts ExecOptions) (*Stream, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -90,18 +88,11 @@ func (m *Mediator) StreamContext(ctx context.Context, querySrc string, opts Exec
 	if opts.CacheSize > 0 {
 		m.ensureCache(opts.CacheSize)
 	}
-	naive, err := m.Compose(querySrc)
+	naive, opt, err := m.plan(querySrc, nil)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := optimizer.New(m.optimizerOptions()).OptimizeChecked(naive)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.lintBeforeExec("optimized", opt); err != nil {
-		return nil, err
-	}
-	return m.streamPlan(ctx, naive, opt, opts)
+	return m.streamPlan(ctx, m.newContext(), naive, opt, opts)
 }
 
 // StreamPlan is StreamContext for an already-built plan (the ExecutePlan
@@ -116,11 +107,13 @@ func (m *Mediator) StreamPlan(ctx context.Context, plan algebra.Op, opts ExecOpt
 	if err := m.lintBeforeExec("custom", plan); err != nil {
 		return nil, err
 	}
-	return m.streamPlan(ctx, nil, plan, opts)
+	return m.streamPlan(ctx, m.newContext(), nil, plan, opts)
 }
 
-func (m *Mediator) streamPlan(ctx context.Context, naive, opt algebra.Op, opts ExecOptions) (*Stream, error) {
-	actx := m.newContext()
+// streamPlan starts opt on a fresh engine under the evaluation context
+// actx — every query entry point ends here. naive, when non-nil, is only
+// described in the Result.
+func (m *Mediator) streamPlan(ctx context.Context, actx *algebra.Context, naive, opt algebra.Op, opts ExecOptions) (*Stream, error) {
 	if opts.AllowPartial {
 		actx.Partial = algebra.NewPartialReport()
 	}
@@ -208,28 +201,4 @@ pull:
 	s.err = err
 	s.res = res
 	s.mu.Unlock()
-}
-
-// executeStreamed is ExecuteContext routed through the streaming pipeline
-// (ExecOptions.Stream): the same Result, produced by draining the chunk
-// stream instead of materializing bottom-up. Row content and order match
-// the serial materialized engine; only peak memory and time-to-first-row
-// differ.
-func (m *Mediator) executeStreamed(ctx context.Context, querySrc string, opts ExecOptions) (*Result, error) {
-	s, err := m.StreamContext(ctx, querySrc, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := tab.New(s.Cols()...)
-	for t := range s.Chunks() {
-		for _, r := range t.Rows {
-			out.AddRow(r)
-		}
-	}
-	res, err := s.Result()
-	if err != nil {
-		return nil, err
-	}
-	res.Tab = out
-	return res, nil
 }

@@ -32,6 +32,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/capability"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/pattern"
 	"repro/internal/tab"
 )
@@ -219,7 +220,7 @@ func Eval(plan algebra.Op, params map[string]tab.Cell, table func(base string) (
 		}
 		ctx.Catalog[nd] = built
 	}
-	return algebra.Run(plan, ctx)
+	return exec.Collect(plan, ctx)
 }
 
 // validate walks a pushed plan, collecting the node-table documents it binds

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/filter"
 	"repro/internal/pattern"
 	"repro/internal/tab"
@@ -45,11 +46,11 @@ func TestSplitBindDoc(t *testing.T) {
 	}
 	residual.From = docBind
 	ctx1, ctx2 := evalCtx(9), evalCtx(9)
-	direct, err := b.Eval(ctx1)
+	direct, err := exec.Collect(b, ctx1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := residual.Eval(ctx2)
+	split, err := exec.Collect(residual, ctx2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestEliminateBindTreeBasic(t *testing.T) {
 	if strings.Contains(algebra.Describe(out), "Tree(") {
 		t.Errorf("Tree not eliminated:\n%s", algebra.Describe(out))
 	}
-	want, err := bind.Eval(algebra.NewContext())
+	want, err := exec.Collect(bind, algebra.NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := out.Eval(algebra.NewContext())
+	got, err := exec.Collect(out, algebra.NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestEliminateBindTreeConstants(t *testing.T) {
 	if !ok {
 		t.Fatal("composition failed")
 	}
-	got, err := out.Eval(algebra.NewContext())
+	got, err := exec.Collect(out, algebra.NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestEliminateBindTreeConstants(t *testing.T) {
 	if !ok {
 		t.Fatal("composition failed")
 	}
-	got3, err := out3.Eval(algebra.NewContext())
+	got3, err := exec.Collect(out3, algebra.NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestEliminateBindTreeMissingElement(t *testing.T) {
 	if !ok {
 		t.Fatal("composition failed")
 	}
-	got, err := out.Eval(algebra.NewContext())
+	got, err := exec.Collect(out, algebra.NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestEliminateBindTreeSkolemLabelVar(t *testing.T) {
 	if !ok {
 		t.Fatal("composition failed")
 	}
-	got, err := out.Eval(algebra.NewContext())
+	got, err := exec.Collect(out, algebra.NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +219,11 @@ func TestSelectionPushdownThroughJoin(t *testing.T) {
 		t.Errorf("selects not pushed below join:\n%s", s)
 	}
 	// Semantics preserved.
-	a, err := plan.Eval(evalCtx(10))
+	a, err := exec.Collect(plan, evalCtx(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := out.Eval(evalCtx(10))
+	b, err := exec.Collect(out, evalCtx(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +275,11 @@ func TestTypeDrivenFilterSimplification(t *testing.T) {
 	}
 	// Semantics on data that satisfies the structure are unchanged for the
 	// needed columns.
-	a, err := b.Eval(evalCtx(10))
+	a, err := exec.Collect(b, evalCtx(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bres, err := nb.Eval(evalCtx(10))
+	bres, err := exec.Collect(nb, evalCtx(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +324,8 @@ func TestPropertyPushdownPreservesSemantics(t *testing.T) {
 			Pred: algebra.Eq(algebra.Var{Name: "$t"}, algebra.Const{Atom: data.String(title)}),
 		}
 		out := pushSelections(plan)
-		a, err1 := plan.Eval(evalCtx(n))
-		b, err2 := out.Eval(evalCtx(n))
+		a, err1 := exec.Collect(plan, evalCtx(n))
+		b, err2 := exec.Collect(out, evalCtx(n))
 		if err1 != nil || err2 != nil {
 			return false
 		}

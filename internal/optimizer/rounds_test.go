@@ -7,6 +7,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/capability"
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/filter"
 	"repro/internal/o2wrap"
 	"repro/internal/tab"
@@ -81,13 +82,13 @@ func TestFullPipelinePushesBothSources(t *testing.T) {
 		t.Error("trace must record rewritings")
 	}
 	// Semantics preserved against the unoptimized plan.
-	want, err := plan.Eval(ctx)
+	want, err := exec.Collect(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts2, ctx2, _ := culturalOpts(120)
 	_ = opts2
-	got, err := opt.Eval(ctx2)
+	got, err := exec.Collect(opt, ctx2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +122,11 @@ func TestRound3SwapsSides(t *testing.T) {
 	if !strings.Contains(lines[1], "Literal") {
 		t.Errorf("literal side must become the outer loop:\n%s", s)
 	}
-	got, err := out.Eval(ctx)
+	got, err := exec.Collect(out, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.Eval(ctx)
+	want, err := exec.Collect(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestRound3SwapsSides(t *testing.T) {
 
 func leftTitles(ctx *algebra.Context, t *testing.T) *tab.Tab {
 	t.Helper()
-	res, err := (&algebra.Bind{Doc: "works", F: filter.MustParse(`works[ *work[ title: $t ] ]`)}).Eval(ctx)
+	res, err := exec.Collect(&algebra.Bind{Doc: "works", F: filter.MustParse(`works[ *work[ title: $t ] ]`)}, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +172,11 @@ func TestSplitForCapabilities(t *testing.T) {
 	if !strings.Contains(s, "Bind(works, works[ *work@$w") {
 		t.Fatalf("split did not produce a document-level bind:\n%s", s)
 	}
-	want, err := b.Eval(ctx)
+	want, err := exec.Collect(b, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := out.Eval(ctx)
+	got, err := exec.Collect(out, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +214,11 @@ func TestIntroduceEquivalences(t *testing.T) {
 		t.Error("introduceEquivalences is not idempotent")
 	}
 	// semantics preserved
-	want, err := plan.Eval(ctx)
+	want, err := exec.Collect(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := out.Eval(ctx)
+	got, err := exec.Collect(out, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +251,11 @@ func TestPruneJoinBranchWithAssumption(t *testing.T) {
 	if !strings.Contains(s, "$t=$t'") {
 		t.Errorf("join-equality rename missing:\n%s", s)
 	}
-	got, err := pruned.Eval(ctx)
+	got, err := exec.Collect(pruned, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (&algebra.Project{From: join, Cols: []string{"$t", "$s"}}).Eval(ctx)
+	want, err := exec.Collect(&algebra.Project{From: join, Cols: []string{"$t", "$s"}}, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +284,11 @@ func TestExpandLabelVarsDirect(t *testing.T) {
 	if !strings.Contains(s, "Union") || !strings.Contains(s, "Map($l") {
 		t.Fatalf("label variable not expanded:\n%s", s)
 	}
-	want, err := b.Eval(ctx)
+	want, err := exec.Collect(b, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := out.Eval(ctx)
+	got, err := exec.Collect(out, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,11 +343,11 @@ func TestMergeSourceJoins(t *testing.T) {
 	if strings.Count(s, "SourceQuery") != 1 {
 		t.Fatalf("join not merged into one pushed query:\n%s", s)
 	}
-	want, err := join.Eval(ctx)
+	want, err := exec.Collect(join, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := out.Eval(ctx)
+	got, err := exec.Collect(out, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

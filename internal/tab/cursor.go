@@ -146,9 +146,8 @@ func (c *rechunkCursor) Close() error {
 }
 
 // Drain pulls a cursor to exhaustion, concatenating every chunk into one
-// materialized table, and closes it. It is the bridge from the streaming
-// path back to the materialized API: Drain(stream) must be row-identical to
-// the materialized evaluation of the same plan.
+// materialized table, and closes it: the bridge from the streaming engine
+// to callers (and blocking operators) that need one table.
 func Drain(c Cursor) (*Tab, error) {
 	defer c.Close()
 	out := New(c.Cols()...)

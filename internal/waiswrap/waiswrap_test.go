@@ -8,6 +8,7 @@ import (
 	"repro/internal/capability"
 	"repro/internal/data"
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/filter"
 	"repro/internal/pattern"
 	"repro/internal/tab"
@@ -217,7 +218,7 @@ func TestPushAgreesWithLocalContains(t *testing.T) {
 	ctx := algebra.NewContext()
 	ctx.Sources["xmlartwork"] = w
 	ctx.Funcs["contains"] = Contains
-	local, err := plan.Eval(ctx)
+	local, err := exec.Collect(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

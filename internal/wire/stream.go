@@ -15,10 +15,9 @@
 // whole result. chunk caps the rows (trees) per frame. A traced streamend
 // carries the obs-ns evaluation-time stamp like one-shot responses do. A
 // mid-stream failure travels as an <error> frame that cleanly terminates
-// the stream; the connection stays usable on both sides. Old wrappers
-// answer <error msg="unknown request …"/> to the first stream request, and
-// the client falls back to the one-shot forms — memoized per client, so the
-// probe is paid once.
+// the stream; the connection stays usable on both sides. Every Serve answers
+// both forms for any source (fetches of a source without a native stream
+// are framed from the one-shot result), so the client never falls back.
 package wire
 
 import (
@@ -456,25 +455,9 @@ func (s *clientStream) close() error {
 	return nil
 }
 
-// isUnknownRequest spots an old wrapper refusing a stream request, the
-// fallback trigger.
-func isUnknownRequest(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "unknown request")
-}
-
 // FetchStream implements algebra.StreamSource: the document's trees arrive
-// in bounded chunk frames. Against an old wrapper it falls back to the
-// one-shot fetch (memoized), preserving interoperability at the cost of
-// materializing — the protocol downgrade is invisible to the caller.
+// in bounded chunk frames.
 func (c *Client) FetchStream(ctx context.Context, doc string) (algebra.ForestCursor, error) {
-	if c.noStream.Load() {
-		f, err := c.FetchContext(ctx, doc)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewSliceForestCursor(f, tab.DefaultStreamChunk), nil
-	}
 	req := data.Elem("fetchstream")
 	req.Add(data.Text("@doc", doc))
 	req.Add(data.Text("@chunk", fmt.Sprint(tab.DefaultStreamChunk)))
@@ -483,14 +466,6 @@ func (c *Client) FetchStream(ctx context.Context, doc string) (algebra.ForestCur
 	}
 	st, err := c.openStream(ctx, xmlenc.Serialize(req))
 	if err != nil {
-		if isUnknownRequest(err) {
-			c.noStream.Store(true)
-			f, ferr := c.FetchContext(ctx, doc)
-			if ferr != nil {
-				return nil, ferr
-			}
-			return algebra.NewSliceForestCursor(f, tab.DefaultStreamChunk), nil
-		}
 		return nil, err
 	}
 	return &wireForestCursor{st: st}, nil
@@ -525,16 +500,8 @@ func (c *wireForestCursor) Close() error { return c.st.close() }
 
 // PushStream implements algebra.PushStreamSource: the pushed plan's result
 // rows arrive in bounded chunk frames, headed by the column set before the
-// first row is produced. Falls back to the one-shot push against an old
-// wrapper (memoized).
+// first row is produced.
 func (c *Client) PushStream(ctx context.Context, plan algebra.Op, params map[string]tab.Cell) (tab.Cursor, error) {
-	if c.noStream.Load() {
-		t, err := c.PushContext(ctx, plan, params)
-		if err != nil {
-			return nil, err
-		}
-		return tab.NewSliceCursor(t, tab.DefaultStreamChunk), nil
-	}
 	enc, err := c.encodePlan(plan)
 	if err != nil {
 		return nil, err
@@ -551,14 +518,6 @@ func (c *Client) PushStream(ctx context.Context, plan algebra.Op, params map[str
 	req.WriteString("</pushstream>")
 	st, err := c.openStream(ctx, req.String())
 	if err != nil {
-		if isUnknownRequest(err) {
-			c.noStream.Store(true)
-			t, perr := c.PushContext(ctx, plan, params)
-			if perr != nil {
-				return nil, perr
-			}
-			return tab.NewSliceCursor(t, tab.DefaultStreamChunk), nil
-		}
 		return nil, err
 	}
 	ht := firstElem(st.head)

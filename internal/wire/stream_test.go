@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/algebra"
@@ -94,33 +93,28 @@ func TestPushStreamMatchesPush(t *testing.T) {
 	}
 }
 
-// oneShotProxy fronts a real wrapper server but behaves like a pre-streaming
-// wrapper: stream requests are refused (or sabotaged), everything else is
-// relayed frame for frame. streamReqs counts the stream requests that
-// reached it, so tests can assert the client's fallback memo.
-type oneShotProxy struct {
-	t          *testing.T
-	backend    string
-	ln         net.Listener
-	streamReqs atomic.Int32
-	// onStream handles a stream request on the client conn; nil means
-	// answer the "unknown request" refusal an old wrapper would send.
+// streamProxy fronts a real wrapper server: one-shot requests are relayed
+// frame for frame, stream requests are handed to onStream, so a test can
+// script the stream side of the protocol.
+type streamProxy struct {
+	backend  string
+	ln       net.Listener
 	onStream func(conn net.Conn, req *data.Node)
 }
 
-func startOneShotProxy(t *testing.T, backend string, onStream func(net.Conn, *data.Node)) *oneShotProxy {
+func startStreamProxy(t *testing.T, backend string, onStream func(net.Conn, *data.Node)) *streamProxy {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &oneShotProxy{t: t, backend: backend, ln: ln, onStream: onStream}
+	p := &streamProxy{backend: backend, ln: ln, onStream: onStream}
 	go p.serve()
 	t.Cleanup(func() { ln.Close() })
 	return p
 }
 
-func (p *oneShotProxy) serve() {
+func (p *streamProxy) serve() {
 	for {
 		conn, err := p.ln.Accept()
 		if err != nil {
@@ -130,7 +124,7 @@ func (p *oneShotProxy) serve() {
 	}
 }
 
-func (p *oneShotProxy) handle(conn net.Conn) {
+func (p *streamProxy) handle(conn net.Conn) {
 	defer conn.Close()
 	back, err := net.Dial("tcp", p.backend)
 	if err != nil {
@@ -143,18 +137,11 @@ func (p *oneShotProxy) handle(conn net.Conn) {
 			return
 		}
 		if isStreamRequest(req) {
-			p.streamReqs.Add(1)
 			n, perr := xmlenc.Parse(req)
 			if perr != nil {
 				return
 			}
-			if p.onStream != nil {
-				p.onStream(conn, n)
-				continue
-			}
-			if WriteFrame(conn, errorXML("unknown request <%s>", n.Label)) != nil {
-				return
-			}
+			p.onStream(conn, n)
 			continue
 		}
 		if WriteFrame(back, req) != nil {
@@ -170,64 +157,12 @@ func (p *oneShotProxy) handle(conn net.Conn) {
 	}
 }
 
-func TestStreamFallsBackToOneShot(t *testing.T) {
-	// Against a wrapper predating the stream protocol, FetchStream and
-	// PushStream must still deliver the full result (via the one-shot
-	// protocol) and must probe the wrapper exactly once.
-	srv, ow := serveO2(t)
-	proxy := startOneShotProxy(t, srv.Addr(), nil)
-	c, err := Dial(proxy.ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	cur, err := c.FetchStream(context.Background(), "artifacts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := drainForest(t, cur)
-	local, err := ow.Fetch("artifacts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(local) {
-		t.Fatalf("fallback fetch: %d trees, want %d", len(streamed), len(local))
-	}
-	if got := proxy.streamReqs.Load(); got != 1 {
-		t.Fatalf("stream probes before memo = %d, want 1", got)
-	}
-	// The refusal is memoized: no further stream request leaves the client.
-	plan := &algebra.Bind{Doc: "artifacts",
-		F: filter.MustParse(`set[ *class[ artifact.tuple[ title: $t ] ] ]`)}
-	pcur, err := c.PushStream(context.Background(), plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pushed, err := tab.Drain(pcur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	localPush, err := ow.Push(plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pushed.EqualUnordered(localPush) {
-		t.Errorf("fallback push rows differ:\n%s\nvs:\n%s", pushed, localPush)
-	}
-	if _, err := c.FetchStream(context.Background(), "artifacts"); err != nil {
-		t.Fatal(err)
-	}
-	if got := proxy.streamReqs.Load(); got != 1 {
-		t.Errorf("stream probes after memo = %d, want still 1", got)
-	}
-}
-
 func TestMidStreamErrorTerminatesCleanly(t *testing.T) {
 	// A wrapper failing mid-stream reports an <error> frame after payload
 	// chunks: the consumer gets the typed remote error, and the client
 	// survives to serve later one-shot traffic on the same pool.
 	srv, _ := serveO2(t)
-	proxy := startOneShotProxy(t, srv.Addr(), func(conn net.Conn, req *data.Node) {
+	proxy := startStreamProxy(t, srv.Addr(), func(conn net.Conn, req *data.Node) {
 		if WriteFrame(conn, "<streamhead/>") != nil {
 			return
 		}

@@ -25,8 +25,7 @@
 // the response is a sequence of frames — a <streamhead> header, bounded
 // row/tree chunk frames, and a terminal <streamend> — instead of one
 // monolithic frame, so a large result never materializes for the wire's
-// sake. See stream.go for the frame grammar and the fallback handshake
-// against old wrappers.
+// sake. See stream.go for the frame grammar.
 //
 // Errors travel as <error msg="..."/>.
 package wire
@@ -646,11 +645,6 @@ type Client struct {
 	// fallback) encodes it once instead of once per request.
 	encMu sync.Mutex
 	encs  map[algebra.Op]string
-
-	// noStream memoizes a wrapper's lack of stream support: after one
-	// "unknown request" probe failure every later FetchStream/PushStream
-	// call goes straight to the one-shot protocol without re-probing.
-	noStream atomic.Bool
 
 	mu     sync.Mutex
 	conns  map[net.Conn]bool // every live connection, for Close
